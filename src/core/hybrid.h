@@ -36,11 +36,9 @@ class HybridSigServerStrategy : public ServerStrategy {
   void AttachUpdateFeed(Database* db) override;
   SimTime JournalHorizonSeconds() const override { return latency_; }
   /// With the feed attached, FoldChangesThrough reads only the dirty set and
-  /// per-item slab timestamps — never a journal window — so quiet-stretch
-  /// buckets may stay digest-only.
-  bool JournalQuiescentWithFeed() const override { return true; }
-  /// No hybrid code path reads raw journal entries (JournalIn / VersionAt),
-  /// so every bucket may hold just the per-interval digest.
+  /// per-item slab timestamps, and no hybrid code path reads raw journal
+  /// entries (JournalIn / VersionAt), so every bucket may hold just the
+  /// per-interval digest.
   JournalRetention retention() const override {
     return JournalRetention::kDigestOnly;
   }

@@ -33,12 +33,9 @@ class SigServerStrategy : public ServerStrategy {
   Report MaterializeQuiet(SimTime now, uint64_t interval) override;
   void AttachUpdateFeed(Database* db) override;
   SimTime JournalHorizonSeconds() const override { return latency_; }
-  /// With the feed attached, FoldChangesThrough reads only the dirty set —
-  /// never a journal window — so quiet-stretch buckets may stay digest-only.
-  bool JournalQuiescentWithFeed() const override { return true; }
-  /// Stronger still: no SIG code path ever reads raw journal entries
-  /// (JournalIn / VersionAt), so *every* bucket may hold just the
-  /// per-interval digest.
+  /// With the feed attached, FoldChangesThrough reads only the dirty set,
+  /// and no SIG code path reads raw journal entries (JournalIn / VersionAt),
+  /// so every bucket may hold just the per-interval digest.
   JournalRetention retention() const override {
     return JournalRetention::kDigestOnly;
   }

@@ -118,15 +118,6 @@ class ServerStrategy {
   /// update observers here instead of rescanning the database per report.
   virtual void AttachUpdateFeed(Database* db) { (void)db; }
 
-  /// True when, with an update feed attached, this strategy never issues
-  /// journal *window* queries (UpdatedIn / CountUpdatedIn / JournalIn /
-  /// VersionAt) — all report state flows through the feed. The server may
-  /// then skip materializing per-update journal records for quiet-stretch
-  /// buckets (keeping only the per-item digest summary), since the only
-  /// remaining journal readers are sealed-digest consumers. Default false:
-  /// TS/AT-family strategies rebuild reports from journal windows.
-  virtual bool JournalQuiescentWithFeed() const { return false; }
-
   /// The journal retention class this strategy requires of the server's
   /// database (see JournalRetention). Server::Start arms the database with
   /// this declaration — replacing per-call-site journal toggles scattered

@@ -149,9 +149,9 @@ void Database::PushBucket(int64_t index, size_t reserve_hint) {
     buckets_.back().index = index;
   }
   Bucket& b = buckets_.back();
-  // Representation is fixed at bucket open: elided while the server's quiet
-  // stretch hint is up (and elision armed), raw otherwise.
-  if (elide_hint_ && !elide_marks_.empty()) {
+  // Representation is fixed by the retention class: digest-only under
+  // kDigestOnly, raw otherwise.
+  if (retention_ == JournalRetention::kDigestOnly) {
     b.digest_only = true;
     ++elide_epoch_;
     ++elided_buckets_;
@@ -302,13 +302,9 @@ void Database::ApplyBatchSlabOnly(const ItemId* ids, const SimTime* times,
 
 void Database::ApplyBatchJournal(const ItemId* ids, const SimTime* times,
                                  size_t count) {
-  // Whether appends in this chunk can hit the elided dedup probe: the open
-  // tail bucket elides, or the hint will make the next one elide. Either
-  // way the probe reads elide_marks_[id] — a second random line per entry —
-  // so prefetch it alongside the slab line for the same future entry.
-  const bool marks =
-      !elide_marks_.empty() &&
-      (elide_hint_ || (!buckets_.empty() && buckets_.back().digest_only));
+  // Digest-only appends probe elide_marks_[id] — a second random line per
+  // entry — so prefetch it alongside the slab line for the same future entry.
+  const bool marks = retention_ == JournalRetention::kDigestOnly;
   for (size_t i = 0; i < count; ++i) {
 #if defined(__GNUC__) || defined(__clang__)
     if (i + kBatchPrefetchDistance < count) {
@@ -330,7 +326,7 @@ void Database::ApplyBatchJournal(const ItemId* ids, const SimTime* times,
 
 void Database::EnableJournalElision() {
   if (!elide_marks_.empty()) return;
-  assert(journal_enabled_ && "elision over a disabled journal is pointless");
+  assert(journal_enabled_ && "digest-only buckets need a live journal");
   elide_marks_.assign(n_, 0);
   // Epoch 0 would make the zero-initialized marks look current for slot 0;
   // start at 1 so every mark begins stale.
@@ -383,7 +379,6 @@ void Database::SetRetention(JournalRetention retention) {
     case JournalRetention::kDigestOnly:
       SetJournalEnabled(true);
       EnableJournalElision();
-      SetJournalElideHint(true);  // pinned on by retention_ (see the header)
       break;
     case JournalRetention::kFullWindow:
       SetJournalEnabled(true);
@@ -396,7 +391,7 @@ void Database::SetJournalBucketWidth(SimTime width) {
   if (width == bucket_width_) return;
 #ifndef NDEBUG
   // Re-bucketing replays raw entries; elided buckets have none to replay.
-  // The server sets the width once at Start(), before any elision.
+  // The server sets the width once at Start(), before arming retention.
   for (const Bucket& bucket : buckets_) assert(!bucket.digest_only);
 #endif
   std::vector<SimTime> all_times;
@@ -415,7 +410,7 @@ void Database::SetJournalBucketWidth(SimTime width) {
   journal_bytes_ = 0;
   for (size_t i = 0; i < all_times.size(); ++i) {
     // Version 0 is fine: raw buckets ignore it, and re-bucketing precedes
-    // any elision (asserted above).
+    // any digest-only bucket (asserted above).
     AppendJournal(all_ids[i], all_times[i], /*version=*/0);
   }
 }
@@ -552,8 +547,8 @@ std::vector<UpdatedItem> Database::JournalIn(SimTime lo, SimTime hi) const {
     if (!bucket.HasEntries() || bucket.LastTime() <= lo) continue;
     if (bucket.FirstTime() > hi) break;
     assert(!bucket.digest_only &&
-           "raw journal scan into an elided bucket (the server must not arm "
-           "elision for strategies that read JournalIn)");
+           "raw journal scan into a digest-only bucket (strategies that read "
+           "JournalIn must declare kFullWindow)");
     const size_t n = bucket.times.size();
     for (size_t i = FirstAfter(bucket.times, lo);
          i < n && bucket.times[i] <= hi; ++i) {

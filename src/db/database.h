@@ -24,18 +24,16 @@
 // list, so the steady state (one bucket appended, one pruned per interval)
 // allocates nothing.
 //
-// Quiet-stretch journal elision: a strategy whose update feed makes it
-// journal-quiescent (SIG/hybrid — they never window-query once the dirty-set
-// observer is attached) lets the server arm EnableJournalElision +
-// SetJournalElideHint around elided broadcast intervals. Buckets opened
-// under the hint skip the raw time/id arrays entirely and maintain the
-// digest directly — each id once at its latest in-bucket time, deduplicated
-// in place through an epoch-tagged per-item mark — plus the raw entry count
-// and per-entry slab versions, a summary sufficient to serve any late
-// window query (the digest filtered by window and is-still-latest equals
-// the raw scan's output exactly). The raw readers (JournalIn, VersionAt)
-// assert they never meet an elided bucket; the server only arms elision for
-// strategies that cannot reach them.
+// The retention class (JournalRetention, armed once by the server from the
+// strategy's declaration) alone decides how every bucket is stored. Under
+// kDigestOnly — strategies that consume updates through their feed and never
+// read raw entries (SIG, hybrid) — buckets skip the raw time/id arrays
+// entirely and maintain the digest directly: each id once at its latest
+// in-bucket time, deduplicated in place through an epoch-tagged per-item
+// mark, plus the raw entry count and per-entry slab versions, a summary
+// sufficient to serve any window query (the digest filtered by window and
+// is-still-latest equals the raw scan's output exactly). The raw readers
+// (JournalIn, VersionAt) assert they never meet a digest-only bucket.
 
 #ifndef MOBICACHE_DB_DATABASE_H_
 #define MOBICACHE_DB_DATABASE_H_
@@ -75,19 +73,20 @@ struct UpdatedItem {
 
 /// How much update history the database must retain for the strategy it
 /// serves. Strategies declare their class (ServerStrategy::retention) and
-/// Server::Start arms the database accordingly, replacing the old
-/// per-call-site SetJournalEnabled/EnableJournalElision guesswork:
+/// Server::Start arms the database accordingly. The class is the one thing
+/// that decides how every journal bucket is stored:
 ///
 ///  * kNone        — no journal at all. The strategy never issues a window
 ///                   query (no-caching); every journal append would be pure
 ///                   overhead on the hottest path.
 ///  * kDigestOnly  — per-interval digests only, no raw entries. The strategy
 ///                   consumes updates through an attached feed and never
-///                   reads JournalIn/VersionAt (SIG, hybrid), so buckets can
-///                   stay in the elided representation permanently.
+///                   reads JournalIn/VersionAt (SIG, hybrid), so every
+///                   bucket is digest-only.
 ///  * kFullWindow  — raw entries over the report window (TS, AT, grouped,
-///                   adaptive). The default; quiet-stretch elision still
-///                   applies where the server proves it safe.
+///                   adaptive, or any strategy under an answer-observer
+///                   floor). The default; every bucket keeps its raw
+///                   entries.
 enum class JournalRetention : uint8_t {
   kNone,
   kDigestOnly,
@@ -211,10 +210,9 @@ class Database {
   size_t journal_size() const { return journal_entries_; }
 
   /// Arms the retention class the strategy declared (see JournalRetention):
-  /// kNone disables the journal, kDigestOnly arms elision and forces the
-  /// elide hint permanently on, kFullWindow keeps the default raw-bucket
-  /// journal (quiet-stretch elision may still be armed separately). Call
-  /// before any updates flow; the server wires it in Start().
+  /// kNone disables the journal, kDigestOnly stores every bucket opened from
+  /// here on digest-only, kFullWindow keeps the default raw-bucket journal.
+  /// Call before any updates flow; the server wires it in Start().
   void SetRetention(JournalRetention retention);
   JournalRetention retention() const { return retention_; }
 
@@ -243,25 +241,6 @@ class Database {
   /// the journal is live, so misuse fails loudly in debug builds.
   void SetJournalEnabled(bool enabled);
   bool journal_enabled() const { return journal_enabled_; }
-
-  /// Arms quiet-stretch journal elision (see the file comment): pre-sizes
-  /// the per-item dedup marks so the elided append path never allocates.
-  /// The caller (the server) must guarantee no raw journal reader
-  /// (JournalIn, VersionAt) ever runs against this database afterwards.
-  void EnableJournalElision();
-  bool journal_elision_enabled() const { return !elide_marks_.empty(); }
-
-  /// While the hint is set (and elision is armed), buckets opened by
-  /// appends store the digest-only summary instead of raw entries. The
-  /// server toggles this per interval: on after an elided quiet broadcast,
-  /// off otherwise. Takes effect at the next bucket boundary; an already
-  /// open bucket keeps its representation. Under kDigestOnly retention the
-  /// hint is pinned on — the strategy declared it never reads raw entries,
-  /// so every bucket elides regardless of the per-interval toggle.
-  void SetJournalElideHint(bool elide) {
-    elide_hint_ = elide || retention_ == JournalRetention::kDigestOnly;
-  }
-  bool journal_elide_hint() const { return elide_hint_; }
 
   /// Journal buckets stored digest-only since construction (diagnostic).
   uint64_t elided_journal_buckets() const { return elided_buckets_; }
@@ -392,6 +371,9 @@ class Database {
   /// `version` is the slab version just written for `id` (recorded by the
   /// elided representation; raw buckets ignore it).
   void AppendJournal(ItemId id, SimTime now, uint64_t version);
+  /// Pre-sizes the per-item dedup marks so the digest-only append path never
+  /// allocates (SetRetention(kDigestOnly)).
+  void EnableJournalElision();
   /// Digest-only append into the open tail bucket: overwrite the id's
   /// existing entry (epoch-tagged mark hit) or append a new one.
   void AppendJournalElided(ItemId id, SimTime now, uint64_t version);
@@ -453,11 +435,10 @@ class Database {
   SimTime bucket_width_ = 0.0;
   JournalRetention retention_ = JournalRetention::kFullWindow;
   bool journal_enabled_ = true;
-  bool elide_hint_ = false;
   uint64_t elided_buckets_ = 0;
   /// Per-item dedup marks for the open elided bucket: high 32 bits hold the
   /// bucket epoch, low 32 the digest slot. A stale epoch is simply a miss,
-  /// so switching buckets is O(1). Empty until EnableJournalElision.
+  /// so switching buckets is O(1). Empty unless kDigestOnly was armed.
   std::vector<uint64_t> elide_marks_;
   uint64_t elide_epoch_ = 0;  ///< Bumped per elided bucket; starts marks stale.
   /// High-water distinct-item count across sealed elided buckets. Newly

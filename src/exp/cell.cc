@@ -249,10 +249,7 @@ CellResult Cell::result() const {
   // Batched updates no longer pass through the scheduler, but each was one
   // dispatched event under the per-event engine; count them back in so the
   // events/sec denominator measures the same simulated work either way.
-  // Likewise intervals replayed by the quiet-stretch skip: each replaced a
-  // broadcast tick and (when fully replayed) an elided-consumption dispatch.
-  r.sim_events = sim_->DispatchedEvents() + updates_->batched_updates_applied() +
-                 server_->skipped_dispatches();
+  r.sim_events = sim_->DispatchedEvents() + updates_->batched_updates_applied();
   r.updates_applied = updates_->updates_generated();
   r.channel = channel_->stats();
 

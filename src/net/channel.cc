@@ -11,12 +11,8 @@ Channel::Channel(Simulator* sim, double bandwidth)
 }
 
 SimTime Channel::Transmit(uint64_t bits, TrafficClass cls, bool preempt) {
-  return TransmitAt(sim_->Now(), bits, cls, preempt);
-}
-
-SimTime Channel::TransmitAt(SimTime earliest, uint64_t bits, TrafficClass cls,
-                            bool preempt) {
-  const SimTime start = preempt ? earliest : std::max(earliest, busy_until_);
+  const SimTime start =
+      preempt ? sim_->Now() : std::max(sim_->Now(), busy_until_);
   const double duration = Duration(bits);
   const SimTime done = start + duration;
   busy_until_ = std::max(busy_until_, done);

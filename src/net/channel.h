@@ -64,14 +64,6 @@ class Channel {
   /// capacity split L*W = Bc + query traffic).
   SimTime Transmit(uint64_t bits, TrafficClass cls, bool preempt = false);
 
-  /// Transmit() with an explicit earliest-start instant instead of the
-  /// simulator clock: the server's quiet-stretch replay accounts skipped
-  /// intervals' reports at their nominal broadcast times while the wall
-  /// clock still sits at the replaying event. Transmit(bits, cls, preempt)
-  /// is exactly TransmitAt(sim->Now(), bits, cls, preempt).
-  SimTime TransmitAt(SimTime earliest, uint64_t bits, TrafficClass cls,
-                     bool preempt = false);
-
   /// Seconds a transmission of `bits` occupies the medium.
   double Duration(uint64_t bits) const {
     return static_cast<double>(bits) / bandwidth_;

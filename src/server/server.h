@@ -9,7 +9,10 @@
 // sleeps through an interval's entire transmission — elides the report
 // build and fan-out altogether while keeping every statistic, channel
 // counter, and strategy state byte-identical (quiet-interval elision; see
-// Broadcast()).
+// Broadcast()). Every interval still runs as its own broadcast tick and
+// consumption event, elided or not, and elision never touches the journal:
+// how each journal bucket is stored is fixed by the retention class Start()
+// arms (see JournalRetention).
 
 #ifndef MOBICACHE_SERVER_SERVER_H_
 #define MOBICACHE_SERVER_SERVER_H_
@@ -103,11 +106,6 @@ class Server : public UplinkService {
   /// barrier. Call before Start().
   void SetUpdatePump(UpdateGenerator* pump);
 
-  /// Whether quiet-stretch journal elision is armed (set at Start): the
-  /// strategy is feed-driven and never reads journal windows, so buckets
-  /// laid down during elided intervals keep only their digest summary.
-  bool journal_elision_armed() const { return journal_elision_ok_; }
-
   /// Raises the journal retention class Start() arms beyond what the
   /// strategy declares (never lowers it). Cell drivers call this with
   /// kFullWindow when external instrumentation — a test's answer observer
@@ -178,15 +176,6 @@ class Server : public UplinkService {
   /// `missed = deliveries_completed - heard` is what SettleUnitStats uses.
   uint64_t deliveries_completed() const { return deliveries_completed_; }
 
-  /// Scheduler dispatches the quiet-stretch skip replayed inline instead of
-  /// running them as events (two per fully skipped interval: the broadcast
-  /// tick and the delivery-consumption event; one for a straddle interval
-  /// whose consumption still runs as a real event). Lifetime counter, like
-  /// Simulator::DispatchedEvents(): engines add it to the dispatched-event
-  /// total so the events/sec denominator counts the same simulated work
-  /// whether or not the clock skipped.
-  uint64_t skipped_dispatches() const { return skipped_dispatches_; }
-
   ServerStrategy* strategy() { return strategy_.get(); }
   const ServerStats& stats() const { return stats_; }
   const ServerConfig& config() const { return config_; }
@@ -214,21 +203,10 @@ class Server : public UplinkService {
   void Deliver(std::shared_ptr<const Report> report, uint64_t bits,
                double jitter, double duration);
   /// The delivery-consumption event: drains updates due before `done`, then
-  /// hands the report to its consumer (fan-out, sink, or observer). Runs at
-  /// Now() == done, either as the event Deliver scheduled or replayed inline
-  /// by the quiet-stretch skip.
+  /// hands the report to its consumer (fan-out, sink, or observer). Runs as
+  /// the event Deliver scheduled, at Now() == done.
   void ConsumeDelivery(std::shared_ptr<const Report> report, double listen,
                        SimTime done);
-  /// Cell-wide time skip (ROADMAP open item (c)): called from the
-  /// consumption event of an elided interval — every attached unit asleep,
-  /// fan-out path, nothing in flight — this replays whole quiet intervals
-  /// (update drain, strategy advance, channel accounting, quiet counters)
-  /// inline at their nominal times, bounded by the cell's next interesting
-  /// time: the earliest unit wake, the earliest foreign scheduler event, or
-  /// the active run horizon. The scheduler then hops from one consumption
-  /// event to the next real event in a single dispatch, with every counter
-  /// and RNG stream byte-identical to the per-interval execution.
-  void SkipToNextInterestingTime();
   /// Fans one report out to the attached units; returns how many heard it.
   /// Iterates the awake bitmap when a wake index is attached, else the
   /// legacy all-units loop.
@@ -258,15 +236,8 @@ class Server : public UplinkService {
   std::vector<std::shared_ptr<Report>> report_arena_;
   uint64_t deliveries_completed_ = 0;
   uint64_t intervals_since_prune_ = 0;
-  uint64_t skipped_dispatches_ = 0;
   double broadcast_wall_seconds_ = 0.0;
-  /// Jitter the quiet-stretch skip drew for an interval it then left to the
-  /// real machinery; Broadcast() consumes the stash instead of re-sampling
-  /// so the delivery model's RNG stream stays one draw per interval.
-  double pending_jitter_ = 0.0;
-  bool has_pending_jitter_ = false;
   UpdateGenerator* update_pump_ = nullptr;
-  bool journal_elision_ok_ = false;
   JournalRetention retention_floor_ = JournalRetention::kNone;
 };
 

@@ -125,15 +125,8 @@ bool Simulator::Cancel(EventId id) {
   return true;
 }
 
-SimTime Simulator::NextEventTime() {
-  if (!SkipCancelledTop()) return std::numeric_limits<SimTime>::infinity();
-  return heap_.front().when;
-}
-
 uint64_t Simulator::Run() {
   stopped_ = false;
-  run_horizon_ = std::numeric_limits<SimTime>::infinity();
-  run_horizon_inclusive_ = true;
   uint64_t n = 0;
   while (!stopped_ && SkipCancelledTop()) {
     EventFn fn = TakeRootForDispatch();
@@ -146,8 +139,6 @@ uint64_t Simulator::Run() {
 uint64_t Simulator::RunUntil(SimTime end) {
   assert(end >= now_);
   stopped_ = false;
-  run_horizon_ = end;
-  run_horizon_inclusive_ = true;
   uint64_t n = 0;
   while (!stopped_ && SkipCancelledTop()) {
     if (heap_.front().when > end) break;
@@ -162,8 +153,6 @@ uint64_t Simulator::RunUntil(SimTime end) {
 uint64_t Simulator::RunUntilBefore(SimTime end) {
   assert(end >= now_);
   stopped_ = false;
-  run_horizon_ = end;
-  run_horizon_inclusive_ = false;
   uint64_t n = 0;
   while (!stopped_ && SkipCancelledTop()) {
     if (heap_.front().when >= end) break;
@@ -183,8 +172,6 @@ void Simulator::Reserve(size_t pending_events) {
 
 bool Simulator::Step() {
   stopped_ = false;
-  run_horizon_ = std::numeric_limits<SimTime>::infinity();
-  run_horizon_inclusive_ = true;
   if (!SkipCancelledTop()) return false;
   EventFn fn = TakeRootForDispatch();
   fn();
@@ -209,7 +196,6 @@ Status PeriodicProcess::Start() {
   }
   if (active_) return Status::FailedPrecondition("already started");
   active_ = true;
-  pending_time_ = start_;
   pending_ = sim_->ScheduleAt(start_, [this] { Fire(); });
   return Status::OK();
 }
@@ -225,31 +211,12 @@ void PeriodicProcess::Stop() {
   active_ = false;
 }
 
-void PeriodicProcess::SuspendPending() {
-  if (!active_) return;
-  sim_->Cancel(pending_);
-  pending_ = EventId{};
-}
-
-void PeriodicProcess::SkipTicks(uint64_t count) {
-  if (!active_) return;
-  sim_->Cancel(pending_);  // no-op after SuspendPending
-  // Repeated addition, not multiplication: the re-armed tick must land on
-  // the exact double the chain of Fire() reschedules would have produced.
-  SimTime when = pending_time_;
-  for (uint64_t k = 0; k < count; ++k) when += period_;
-  ticks_fired_ += count;
-  pending_time_ = when;
-  pending_ = sim_->ScheduleAt(when, [this] { Fire(); });
-}
-
 void PeriodicProcess::Fire() {
   if (!active_) return;  // defensive: a cancelled tick must never count
   const uint64_t tick = ticks_fired_++;
   // Reschedule before invoking the callback so the callback may Stop() us
   // (see Stop()), and so the next tick keeps its FIFO slot relative to
   // events the callback schedules at the same virtual time.
-  pending_time_ = sim_->Now() + period_;
   pending_ = sim_->ScheduleAfter(period_, [this] { Fire(); });
   on_tick_(tick);
 }

@@ -19,7 +19,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -239,25 +238,6 @@ class Simulator {
   /// Number of events still queued (including cancelled placeholders).
   size_t PendingEvents() const { return heap_.size(); }
 
-  /// Time of the earliest live pending event; +infinity when none remain.
-  /// Cancelled tombstones are dropped off the heap top on the way (their
-  /// slots recycle), which is why this is not const — the observable
-  /// schedule is unchanged. The quiet-stretch skip uses this to bound how
-  /// far it may replay interval work without an event firing in between.
-  SimTime NextEventTime();
-
-  /// Whether an event at time `t` would still dispatch inside the run call
-  /// currently executing: RunUntil(end) dispatches events with time <= end,
-  /// RunUntilBefore(end) strictly <, and Run()/Step() are unbounded.
-  /// Meaningful only from inside an event callback (the bound is stamped at
-  /// each run call's entry and not cleared on return).
-  bool WithinRunHorizon(SimTime t) const {
-    return run_horizon_inclusive_ ? t <= run_horizon_ : t < run_horizon_;
-  }
-
-  /// The bound of the run call currently executing (see WithinRunHorizon).
-  SimTime run_horizon() const { return run_horizon_; }
-
   /// Total events dispatched over the simulator's lifetime.
   uint64_t DispatchedEvents() const { return dispatched_; }
 
@@ -304,8 +284,6 @@ class Simulator {
   uint64_t next_seq_ = 1;  // 0 is reserved so a default EventId is inert
   uint64_t dispatched_ = 0;
   bool stopped_ = false;
-  SimTime run_horizon_ = std::numeric_limits<SimTime>::infinity();
-  bool run_horizon_inclusive_ = true;
   std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
@@ -332,28 +310,8 @@ class PeriodicProcess {
   /// Cancels any pending tick; idempotent.
   void Stop();
 
-  /// Takes the pending tick out of the scheduler while the caller replays
-  /// tick work inline, so it does not show up as a pending event (e.g. in
-  /// Simulator::NextEventTime()). The process stays active; the caller MUST
-  /// re-arm with SkipTicks() before returning to the event loop — forgetting
-  /// to stalls the schedule. Only meaningful while active().
-  void SuspendPending();
-
-  /// Re-arms after SuspendPending(), accounting `count` ticks as fired
-  /// without dispatching them: ticks_fired() jumps by `count` (so the next
-  /// on_tick_ receives the index it would have had) and the next tick is
-  /// scheduled at the time the skipped run would have reached — advanced by
-  /// the same repeated `+= period` additions Fire()'s rescheduling performs,
-  /// so boundary doubles stay bit-identical. SkipTicks(0) just re-issues the
-  /// suspended tick at its original time.
-  void SkipTicks(uint64_t count);
-
   bool active() const { return active_; }
   uint64_t ticks_fired() const { return ticks_fired_; }
-
-  /// Scheduled time of the next tick. Valid while active(), including while
-  /// suspended (the time the re-issued tick would get under SkipTicks(0)).
-  SimTime pending_time() const { return pending_time_; }
 
  private:
   void Fire();
@@ -363,7 +321,6 @@ class PeriodicProcess {
   SimTime period_;
   std::function<void(uint64_t)> on_tick_;
   EventId pending_{};
-  SimTime pending_time_ = 0.0;
   bool active_ = false;
   uint64_t ticks_fired_ = 0;
 };

@@ -5,9 +5,14 @@
 // historical ground truth), and the database's per-class representations
 // must stay observationally equivalent where the contract says they are:
 //
+//  * the retention class alone decides each bucket's shape: a kFullWindow
+//    floor keeps every bucket raw even through elided quiet stretches, and
+//    a kDigestOnly cell's digest-only bucket count ignores quiet elision;
 //  * twin databases fed the identical update stream under kFullWindow and
 //    kDigestOnly retention answer the same window queries (UpdatedIn /
-//    CountUpdatedIn) over any window the report builders use;
+//    CountUpdatedIn) over any window the report builders use — aligned,
+//    partial, inside one bucket, or spanning several — for batched and
+//    per-update appends alike;
 //  * kNone keeps no journal at all — zero entries, zero bytes, forever;
 //  * journal_bytes_peak is a true high-water mark: monotone under appends
 //    and unaffected by pruning.
@@ -21,6 +26,7 @@
 
 #include "db/database.h"
 #include "exp/cell.h"
+#include "mu/mobile_unit.h"
 
 namespace mobicache {
 namespace {
@@ -98,6 +104,51 @@ TEST(RetentionFloorTest, FloorRaisesDeclaredClassButNeverLowersIt) {
   }
 }
 
+// The retention class alone decides a bucket's shape, whatever the quiet
+// elision does. An answer observer raises SIG and hybrid to kFullWindow, and
+// then no bucket may be laid down digest-only — not even while every unit
+// sleeps and the broadcasts elide, which is exactly when the audit's
+// ValueAt reads need the raw entries. Without the observer (kDigestOnly)
+// the digest-only bucket count is the same with elision on and off.
+TEST(RetentionFloorTest, RetentionClassAloneDecidesBucketShape) {
+  for (StrategyKind kind : {StrategyKind::kSig, StrategyKind::kHybridSig}) {
+    for (double s : {0.9, 1.0}) {
+      SCOPED_TRACE(std::string(StrategyName(kind)) +
+                   " s=" + std::to_string(s));
+      CellConfig config = BaseConfig(kind);
+      config.model.s = s;
+      {
+        Cell cell(config);
+        ASSERT_TRUE(cell.Build().ok());
+        uint64_t answers = 0;
+        for (MobileUnit* unit : cell.units()) {
+          unit->SetAnswerObserver(
+              [&answers](ItemId, uint64_t, SimTime, bool) { ++answers; });
+        }
+        ASSERT_TRUE(cell.Run(4, 50).ok());
+        EXPECT_EQ(cell.db()->retention(), JournalRetention::kFullWindow);
+        EXPECT_EQ(cell.db()->elided_journal_buckets(), 0u);
+        EXPECT_GT(cell.result().quiet_skipped_intervals, 0u)
+            << "no elided broadcast: the case proves nothing";
+        if (s == 0.9) {
+          EXPECT_GT(answers, 0u);
+        }
+      }
+      uint64_t digest_buckets[2] = {0, 0};
+      for (int on = 0; on < 2; ++on) {
+        config.quiet_elision = on == 1;
+        Cell cell(config);
+        ASSERT_TRUE(cell.Build().ok());
+        ASSERT_TRUE(cell.Run(4, 50).ok());
+        ASSERT_EQ(cell.db()->retention(), JournalRetention::kDigestOnly);
+        digest_buckets[on] = cell.db()->elided_journal_buckets();
+      }
+      EXPECT_EQ(digest_buckets[0], digest_buckets[1]);
+      EXPECT_GT(digest_buckets[0], 0u);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Twin databases: identical update stream, different retention class.
 
@@ -125,6 +176,35 @@ void FeedUpdates(Database* db) {
   }
 }
 
+struct Window {
+  SimTime lo, hi;
+};
+
+// Windows the report builders use: bucket-aligned, multi-bucket, partial
+// (mid-bucket endpoints), entirely inside one bucket, and empty.
+constexpr Window kWindows[] = {
+    {0.0, kBucket},  {kBucket, 3 * kBucket}, {0.0, 60.0},   {0.0, 120.0},
+    {4.2, 37.9},     {12.5, 47.3},           {20.0, 50.0},  {23.1, 28.9},
+    {33.3, 34.4},    {40.0, 41.0},           {55.0, 55.0},  {55.0, 60.0},
+    {100.0, 1000.0}};
+
+// Both twins answer every window in kWindows identically.
+void ExpectSameWindowAnswers(const Database& full, const Database& digest) {
+  for (const Window& w : kWindows) {
+    SCOPED_TRACE("window (" + std::to_string(w.lo) + ", " +
+                 std::to_string(w.hi) + "]");
+    const std::vector<UpdatedItem> a = full.UpdatedIn(w.lo, w.hi);
+    const std::vector<UpdatedItem> b = digest.UpdatedIn(w.lo, w.hi);
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].id, b[i].id) << "entry " << i;
+      EXPECT_EQ(a[i].updated_at, b[i].updated_at) << "entry " << i;
+    }
+    EXPECT_EQ(full.CountUpdatedIn(w.lo, w.hi),
+              digest.CountUpdatedIn(w.lo, w.hi));
+  }
+}
+
 TEST(RetentionTwinTest, DigestOnlyAnswersTheSameWindowQueriesAsFull) {
   Database full(kItems, /*seed=*/5);
   Database digest(kItems, /*seed=*/5);
@@ -137,26 +217,8 @@ TEST(RetentionTwinTest, DigestOnlyAnswersTheSameWindowQueriesAsFull) {
 
   ASSERT_EQ(full.total_updates(), digest.total_updates());
   EXPECT_GT(digest.elided_journal_buckets(), 0u);
-
-  // Windows the report builders use: bucket-aligned, multi-bucket, and
-  // deliberately unaligned (mid-bucket endpoints).
-  const double windows[][2] = {{0.0, kBucket},      {kBucket, 3 * kBucket},
-                               {0.0, 120.0},        {4.2, 37.9},
-                               {55.0, 55.0},        {33.3, 34.4},
-                               {100.0, 1000.0}};
-  for (const auto& w : windows) {
-    SCOPED_TRACE("window (" + std::to_string(w[0]) + ", " +
-                 std::to_string(w[1]) + "]");
-    const std::vector<UpdatedItem> a = full.UpdatedIn(w[0], w[1]);
-    const std::vector<UpdatedItem> b = digest.UpdatedIn(w[0], w[1]);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].id, b[i].id);
-      EXPECT_EQ(a[i].updated_at, b[i].updated_at);
-    }
-    EXPECT_EQ(full.CountUpdatedIn(w[0], w[1]),
-              digest.CountUpdatedIn(w[0], w[1]));
-  }
+  EXPECT_EQ(full.elided_journal_buckets(), 0u);
+  ExpectSameWindowAnswers(full, digest);
 
   // Live item state never depends on the journal at all.
   for (ItemId id = 0; id < kItems; ++id) {
@@ -167,6 +229,34 @@ TEST(RetentionTwinTest, DigestOnlyAnswersTheSameWindowQueriesAsFull) {
 
   EXPECT_GT(full.journal_bytes(), 0u);
   EXPECT_GT(digest.journal_bytes(), 0u);
+}
+
+TEST(RetentionTwinTest, PerUpdateStreamAnswersTheSameWindowQueries) {
+  // Single ApplyUpdate calls instead of batches: six buckets of an
+  // LCG-derived stream with plenty of repeated ids (dedup inside each
+  // digest-only bucket) and cross-bucket repeats (the is-still-latest
+  // filter).
+  Database full(kItems, /*seed=*/99);
+  Database digest(kItems, /*seed=*/99);
+  full.SetJournalBucketWidth(kBucket);
+  digest.SetJournalBucketWidth(kBucket);
+  full.SetRetention(JournalRetention::kFullWindow);
+  digest.SetRetention(JournalRetention::kDigestOnly);
+  uint64_t x = 12345;
+  for (int bucket = 0; bucket < 6; ++bucket) {
+    for (int i = 0; i < 40; ++i) {
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+      const ItemId id = static_cast<ItemId>((x >> 33) % kItems);
+      const SimTime t = kBucket * static_cast<double>(bucket) +
+                        kBucket * (static_cast<double>(i) + 1.0) / 41.0;
+      full.ApplyUpdate(id, t);
+      digest.ApplyUpdate(id, t);
+    }
+  }
+  EXPECT_EQ(digest.elided_journal_buckets(), 6u);
+  EXPECT_EQ(full.elided_journal_buckets(), 0u);
+  EXPECT_EQ(full.journal_size(), digest.journal_size());
+  ExpectSameWindowAnswers(full, digest);
 }
 
 TEST(RetentionTwinTest, DigestUndercutsRawBytesUnderHeavyRepetition) {

@@ -1,15 +1,14 @@
 // Contracts of the batched interval update kernel (db/update_generator.cc
-// batch mode + Database::ApplyUpdateBatch) and quiet-stretch journal
-// elision (digest-only buckets):
+// batch mode + Database::ApplyUpdateBatch) and digest-only journal buckets
+// under quiet elision:
 //
 //  * RNG replay: the batched drain applies the exact (item, time) sequence
 //    the per-event engine dispatches — same seed, same draws, bit-identical
 //    timestamps — for the uniform, Zipf-weighted, and zero-rate profiles,
 //    regardless of where the pump points fall.
-//  * Journal digests: a database whose buckets were laid down digest-only
-//    answers UpdatedIn / CountUpdatedIn exactly like a raw-journal twin,
-//    and a journal-quiescent cell (SIG) produces byte-identical results
-//    with elision on and off while actually eliding buckets.
+//  * Journal digests: a digest-only cell (SIG) produces byte-identical
+//    results with quiet elision on and off while laying down digest-only
+//    buckets (the raw-vs-digest window twins live in retention_test.cc).
 //  * Engines: MegaCell at shard counts {1, 4, 8} matches the classic Cell
 //    with batching on, including the applied-update count.
 //  * Allocation-freedom: once the staging buffers exist, the drain loop and
@@ -201,61 +200,6 @@ TEST(UpdateBatchReplayTest, BothModesLeaveIdenticalDatabaseState) {
 }
 
 // ---------------------------------------------------------------------------
-// Digest-only journal buckets: window queries match a raw-journal twin.
-
-TEST(JournalElisionDigestTest, ElidedBucketsAnswerWindowQueriesExactly) {
-  constexpr uint64_t kN = 64;
-  constexpr SimTime kWidth = 10.0;
-  Database raw(kN, /*seed=*/99);
-  Database elided(kN, /*seed=*/99);
-  raw.SetJournalBucketWidth(kWidth);
-  elided.SetJournalBucketWidth(kWidth);
-  elided.EnableJournalElision();
-
-  // Six buckets of a deterministic LCG-derived stream with plenty of
-  // repeated ids (dedup inside elided buckets) and cross-bucket repeats
-  // (the is-still-latest filter). Buckets 1, 2, and 4 are laid down
-  // digest-only in the elided database.
-  uint64_t x = 12345;
-  SimTime t = 0.0;
-  for (int bucket = 0; bucket < 6; ++bucket) {
-    elided.SetJournalElideHint(bucket == 1 || bucket == 2 || bucket == 4);
-    for (int i = 0; i < 40; ++i) {
-      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-      const ItemId id = static_cast<ItemId>((x >> 33) % kN);
-      t = kWidth * static_cast<double>(bucket) +
-          kWidth * (static_cast<double>(i) + 1.0) / 41.0;
-      raw.ApplyUpdate(id, t);
-      elided.ApplyUpdate(id, t);
-    }
-  }
-  EXPECT_EQ(elided.elided_journal_buckets(), 3u);
-  EXPECT_EQ(raw.elided_journal_buckets(), 0u);
-
-  // Windows: bucket-aligned, partial, spanning elided and raw buckets, and
-  // entirely inside an elided bucket.
-  const struct {
-    SimTime lo, hi;
-  } windows[] = {{0.0, 60.0},  {10.0, 30.0}, {12.5, 47.3},
-                 {20.0, 50.0}, {23.1, 28.9}, {40.0, 41.0},
-                 {55.0, 60.0}, {0.0, 10.0}};
-  for (const auto& w : windows) {
-    SCOPED_TRACE("window (" + std::to_string(w.lo) + ", " +
-                 std::to_string(w.hi) + "]");
-    const std::vector<UpdatedItem> expect = raw.UpdatedIn(w.lo, w.hi);
-    const std::vector<UpdatedItem> got = elided.UpdatedIn(w.lo, w.hi);
-    ASSERT_EQ(expect.size(), got.size());
-    for (size_t i = 0; i < expect.size(); ++i) {
-      EXPECT_EQ(expect[i].id, got[i].id) << "entry " << i;
-      EXPECT_EQ(expect[i].updated_at, got[i].updated_at) << "entry " << i;
-    }
-    EXPECT_EQ(raw.CountUpdatedIn(w.lo, w.hi),
-              elided.CountUpdatedIn(w.lo, w.hi));
-  }
-  EXPECT_EQ(raw.journal_size(), elided.journal_size());
-}
-
-// ---------------------------------------------------------------------------
 // Cell-level equivalence and engine cross-checks. Helper matchers mirror
 // tests/quiet_elision_test.cc.
 
@@ -315,17 +259,15 @@ CellConfig BaseConfig(StrategyKind kind, double s) {
   return config;
 }
 
-// A journal-quiescent strategy (SIG) must produce byte-identical runs with
-// quiet elision on and off. SIG declares kDigestOnly retention, so *every*
-// bucket is digest-only in both runs (the representation is a strategy
-// contract now, not a quiet-stretch heuristic) — equal bucket counts and
-// identical results prove the digest path serves both configurations.
+// A digest-only strategy (SIG) must produce byte-identical runs with quiet
+// elision on and off. SIG declares kDigestOnly retention, so *every* bucket
+// is digest-only in both runs — equal bucket counts and identical results
+// prove the digest path serves both configurations.
 TEST(JournalElisionCellTest, SigRunsAreByteIdenticalWithElisionOnAndOff) {
   for (double s : {0.9, 1.0}) {
     SCOPED_TRACE("s=" + std::to_string(s));
     CellResult results[2];
     uint64_t elided_buckets[2] = {0, 0};
-    bool armed[2] = {false, false};
     for (int on = 0; on < 2; ++on) {
       CellConfig config = BaseConfig(StrategyKind::kSig, s);
       config.quiet_elision = on == 1;
@@ -334,11 +276,8 @@ TEST(JournalElisionCellTest, SigRunsAreByteIdenticalWithElisionOnAndOff) {
       ASSERT_TRUE(cell.Run(4, 50).ok());
       results[on] = cell.result();
       elided_buckets[on] = cell.db()->elided_journal_buckets();
-      armed[on] = cell.server()->journal_elision_armed();
     }
     ExpectResultsIdentical(results[1], results[0]);
-    EXPECT_FALSE(armed[0]);
-    EXPECT_TRUE(armed[1]);
     // kDigestOnly retention elides every bucket regardless of the
     // quiet-elision config — same count either way, never zero.
     EXPECT_EQ(elided_buckets[0], elided_buckets[1]);

@@ -52,10 +52,10 @@ constexpr std::array kAllocCallees = {
 /// alloc-event-path: the hot roots the transitive closure is seeded at (in
 /// addition to every lambda scheduled on the event loop). Everything these
 /// reach through the call graph — the fan-out, the report arena, the
-/// quiet-stretch replay, the batch apply — inherits the allocation-free
-/// contract automatically; helpers must NOT be hand-listed here. A
-/// reachable function that is deliberately cold (one-time growth, setup)
-/// declares it with detlint:allow-function(alloc-event-path).
+/// delivery-consumption event, the batch apply — inherits the
+/// allocation-free contract automatically; helpers must NOT be hand-listed
+/// here. A reachable function that is deliberately cold (one-time growth,
+/// setup) declares it with detlint:allow-function(alloc-event-path).
 constexpr std::array kAllocHotRoots = {
     // The per-interval broadcast build/deliver pair.
     HotRoot{"Server", "Broadcast"},
@@ -125,9 +125,9 @@ constexpr std::array kShardPhasePrefixes = {
 /// Control-plane calls (Start/Stop/ResetStats/SetDeliverySink/...) are not
 /// listed: wiring happens before the gang exists.
 constexpr std::array kServerPhaseMutators = {
-    "Broadcast",     "Deliver",           "ConsumeDelivery",
-    "FanOutReport",  "AcquireReportSlot", "SkipToNextInterestingTime",
-    "AccountUplinkQuery", "SettleUnitStats", "AttachUnit",
+    "Broadcast",          "Deliver",         "ConsumeDelivery",
+    "FanOutReport",       "AcquireReportSlot", "AccountUplinkQuery",
+    "SettleUnitStats",    "AttachUnit",
 };
 
 /// phase-discipline: the sanctioned crossings — functions that run strictly
