@@ -154,7 +154,7 @@ void BM_SigDiagnose(benchmark::State& state) {
       t += 0.01;
     }
     state.ResumeTiming();
-    auto invalid = view.DiagnoseAndAdopt(server.Combined(), interest);
+    const auto& invalid = view.DiagnoseAndAdopt(server.Combined(), interest);
     benchmark::DoNotOptimize(invalid);
   }
 }

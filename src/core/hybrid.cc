@@ -171,7 +171,8 @@ uint64_t HybridSigClientManager::OnReport(const Report& report,
   });
   for (ItemId id : hot_victims_) cache->Erase(id);
   invalidated += hot_victims_.size();
-  // DiagnoseAndAdopt expects the cached-id list sorted (as Items() was).
+  // Sorted ids let the diagnosis walk its interest masks in one pass, and
+  // erasing in id order keeps the cache independent of its slot layout.
   std::sort(cold_cached_.begin(), cold_cached_.end());
 
   // Cold half: syndrome diagnosis against the cold-only signatures.

@@ -1,5 +1,6 @@
 #include "core/sig_strategy.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace mobicache {
@@ -97,8 +98,18 @@ SigClientManager::SigClientManager(const SignatureFamily* family,
 
 uint64_t SigClientManager::OnReport(const Report& report, ClientCache* cache) {
   const auto& sig = std::get<SigReport>(report);
-  const std::vector<ItemId> invalid =
-      view_.DiagnoseAndAdopt(sig.combined, cache->Items());
+  // Collect the cached ids in place and sort them: the diagnosis walks its
+  // interest masks in one pass over a sorted list, and erasing in id order
+  // keeps the cache's evolution independent of its slot layout.
+  cached_.clear();
+  cache->ForEachItem([&](ItemId id, const CacheEntry&) {
+    // Member scratch, capacity retained across reports.
+    // detlint:allow(alloc-event-path)
+    cached_.push_back(id);
+  });
+  std::sort(cached_.begin(), cached_.end());
+  const std::vector<ItemId>& invalid =
+      view_.DiagnoseAndAdopt(sig.combined, cached_);
   for (ItemId id : invalid) cache->Erase(id);
   cache->ValidateAllThrough(sig.timestamp);
   return invalid.size();

@@ -1,6 +1,7 @@
 #include "mu/mobile_unit.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <utility>
 
@@ -192,33 +193,88 @@ void MobileUnit::ScheduleNextTick(uint64_t interval) {
   }
 }
 
+namespace {
+
+/// Per-thread first-arrival table for GenerateIntervalArrivals, indexed by
+/// hot-spot position: `first[i]` is valid while bit i of `present` is set.
+/// Every interval drains the bits it set, so the table is clean between
+/// calls and can serve every unit a thread simulates; it grows once, to the
+/// largest hot spot seen, instead of costing per-unit memory.
+struct ArrivalScratch {
+  std::vector<SimTime> first;
+  std::vector<uint64_t> present;
+};
+
+ArrivalScratch& ArrivalScratchFor(size_t hotspot_size) {
+  thread_local ArrivalScratch scratch;
+  if (scratch.first.size() < hotspot_size) {
+    // One-time growth per thread to the largest hot spot; steady-state
+    // intervals reuse it. detlint:allow(alloc-event-path)
+    scratch.first.resize(hotspot_size);
+    // Same one-time growth. detlint:allow(alloc-event-path)
+    scratch.present.resize((hotspot_size + 63) / 64, 0);
+  }
+  return scratch;
+}
+
+}  // namespace
+
 void MobileUnit::GenerateIntervalArrivals(SimTime interval_end) {
   if (total_query_rate_ <= 0.0) return;
+  assert(arriving_.empty());
+  ArrivalScratch& scratch = ArrivalScratchFor(config_.hotspot.size());
+  SimTime* first = scratch.first.data();
+  uint64_t* present = scratch.present.data();
   // Identical draw sequence to the per-event path: exponential gap first;
   // if it lands in the interval, then the item pick — repeat. Arrival
   // timestamps accumulate gap by gap, reproducing the event clock bit for
-  // bit.
+  // bit. Arrivals come in time order, so the first one per hot-spot index
+  // is the batch's first-arrival time (the std::map::emplace "first insert
+  // wins" rule).
   SimTime t = sim_->Now();
   for (;;) {
     t += rng_.Exponential(total_query_rate_);
-    if (t >= interval_end) return;
-    const ItemId item =
-        config_.hotspot[query_zipf_ != nullptr
-                            ? query_zipf_->Sample(rng_)
-                            : rng_.NextUint64(config_.hotspot.size())];
+    if (t >= interval_end) break;
+    const uint64_t index = query_zipf_ != nullptr
+                               ? query_zipf_->Sample(rng_)
+                               : rng_.NextUint64(config_.hotspot.size());
     ++stats_.queries_issued;
-    RecordArrival(item, t);
+    const uint64_t bit = uint64_t{1} << (index & 63);
+    if ((present[index >> 6] & bit) == 0) {
+      present[index >> 6] |= bit;
+      first[index] = t;
+    }
   }
-}
-
-void MobileUnit::RecordArrival(ItemId id, SimTime t) {
-  const auto it = std::lower_bound(
-      arriving_.begin(), arriving_.end(), id,
-      [](const PendingBatch& b, ItemId v) { return b.id < v; });
-  if (it != arriving_.end() && it->id == id) return;  // keeps first arrival
-  // Sorted insert into warm batch storage recycled via spare_batches_; at
-  // steady state capacity is already there. detlint:allow(alloc-event-path)
-  arriving_.insert(it, PendingBatch{id, t});
+  // Drain in ascending index order, which is ascending id order for the
+  // strictly ascending hot spots the factories build.
+  bool ascending = true;
+  const size_t words = (config_.hotspot.size() + 63) / 64;
+  for (size_t w = 0; w < words; ++w) {
+    for (uint64_t bits = present[w]; bits != 0; bits &= bits - 1) {
+      const size_t index =
+          w * 64 + static_cast<size_t>(std::countr_zero(bits));
+      const ItemId id = config_.hotspot[index];
+      ascending = ascending && (arriving_.empty() || arriving_.back().id < id);
+      // Warm batch storage recycled via spare_batches_; it grows only on
+      // record intervals, to at most one entry per hot-spot item.
+      // detlint:allow(alloc-event-path)
+      arriving_.push_back(PendingBatch{id, first[index]});
+    }
+    present[w] = 0;
+  }
+  if (!ascending) {
+    // A custom hot spot out of order or with repeated ids: sort by id and
+    // keep the earliest arrival of each repeated id.
+    std::sort(arriving_.begin(), arriving_.end(),
+              [](const PendingBatch& a, const PendingBatch& b) {
+                return a.id != b.id ? a.id < b.id : a.first < b.first;
+              });
+    const auto same_id = [](const PendingBatch& a, const PendingBatch& b) {
+      return a.id == b.id;
+    };
+    arriving_.erase(std::unique(arriving_.begin(), arriving_.end(), same_id),
+                    arriving_.end());
+  }
 }
 
 bool MobileUnit::OnBroadcast(const Report& report, double listen_seconds) {
@@ -245,6 +301,13 @@ void MobileUnit::OnReportDelivery(const Report& report) {
   while (pending_head_ < pending_groups_.size() &&
          pending_groups_[pending_head_].answerable_from <= interval) {
     for (const PendingBatch& b : pending_groups_[pending_head_].batches) {
+      if (eligible_scratch_.empty() || eligible_scratch_.back().id < b.id) {
+        // Ascending batches past the merged tail (the whole of a lone
+        // group) append without a search. Member scratch, capacity
+        // retained across reports. detlint:allow(alloc-event-path)
+        eligible_scratch_.push_back(b);
+        continue;
+      }
       const auto it = std::lower_bound(
           eligible_scratch_.begin(), eligible_scratch_.end(), b.id,
           [](const PendingBatch& e, ItemId v) { return e.id < v; });

@@ -198,16 +198,14 @@ class MobileUnit {
   /// decision for the tick to consume.
   void ScheduleNextTick(uint64_t interval);
   /// Report-driven units: draws the whole interval's exponential
-  /// interarrival gaps and item picks in one loop and appends to
-  /// `arriving_`, replicating the per-event engine's draw order (gap, then
-  /// item) and arrival timestamps bit for bit.
+  /// interarrival gaps and item picks in one loop, replicating the
+  /// per-event engine's draw order (gap, then item) and arrival timestamps
+  /// bit for bit. Each arrival is recorded in O(1) in a per-thread table
+  /// keyed by hot-spot index (first arrival wins); the interval's batches
+  /// then fill the empty `arriving_` in ascending-id order.
   void GenerateIntervalArrivals(SimTime interval_end);
   void ScheduleNextArrival(SimTime interval_end);
   void OnQueryArrival(SimTime interval_end);
-  /// Queues one arrival into `arriving_` (sorted insert). Arrivals come in
-  /// time order, so an id already present keeps its earlier first-arrival
-  /// time — the std::map::emplace "first insert wins" rule.
-  void RecordArrival(ItemId id, SimTime t);
   /// Answers one batch at the current time; `validity_ts` is the timestamp
   /// vouching for cache answers (report timestamp, or now for immediate
   /// mode).
@@ -234,7 +232,8 @@ class MobileUnit {
   /// be answered by a report with interval index >= i+1 (a report reflects
   /// updates up to its own T_i only — this matters when report airtime or
   /// delivery jitter pushes a delivery past the next boundary). `arriving_`
-  /// collects the current interval's arrivals; sealed groups queue in
+  /// holds the current interval's batches, written once per interval by
+  /// GenerateIntervalArrivals in ascending-id order; sealed groups queue in
   /// `pending_groups_` and are merged per item at answer time.
   struct SealedGroup {
     uint64_t answerable_from;           ///< Minimum report interval index.

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <unordered_set>
 
+#include "util/bits.h"
 #include "util/random.h"
 
 namespace mobicache {
@@ -63,6 +63,9 @@ SignatureFamily::SignatureFamily(uint64_t n, SignatureParams params,
   sig_mask_ = params_.g == 64 ? ~0ULL : ((1ULL << params_.g) - 1);
   member_prob_ = SubsetMembershipProbability(params_.f);
   log1m_member_ = std::log1p(-member_prob_);
+  mismatch_threshold_ = params_.k_threshold *
+                        ValidItemMismatchProbability(params_.f, params_.g) *
+                        static_cast<double>(params_.m);
 }
 
 uint64_t SignatureFamily::ItemSignature(uint64_t value) const {
@@ -113,11 +116,6 @@ bool SignatureFamily::Contains(uint32_t subset, ItemId item) const {
   return std::binary_search(subsets.begin(), subsets.end(), subset);
 }
 
-double SignatureFamily::MismatchThreshold() const {
-  const double p = ValidItemMismatchProbability(params_.f, params_.g);
-  return params_.k_threshold * p * static_cast<double>(params_.m);
-}
-
 ServerSignatureState::ServerSignatureState(const SignatureFamily* family,
                                            const Database* db,
                                            const std::vector<ItemId>* excluded)
@@ -153,70 +151,126 @@ void ServerSignatureState::OnItemChanged(ItemId id) {
 
 ClientSignatureView::ClientSignatureView(const SignatureFamily* family,
                                          const std::vector<ItemId>& interest)
-    : family_(family) {
-  std::unordered_set<uint32_t> seen;
-  for (ItemId item : interest) {
-    for (uint32_t j : family_->SubsetsOf(item)) seen.insert(j);
+    : family_(family),
+      words_((static_cast<size_t>(family->params().m) + 63) / 64),
+      interest_(interest) {
+  std::sort(interest_.begin(), interest_.end());
+  interest_.erase(std::unique(interest_.begin(), interest_.end()),
+                  interest_.end());
+  masks_.assign(interest_.size() * words_, 0);
+  relevant_.assign(words_, 0);
+  for (size_t k = 0; k < interest_.size(); ++k) {
+    uint64_t* mask = &masks_[k * words_];
+    for (uint32_t j : family_->SubsetsOf(interest_[k])) {
+      mask[j >> 6] |= uint64_t{1} << (j & 63);
+    }
+    for (size_t w = 0; w < words_; ++w) relevant_[w] |= mask[w];
   }
-  relevant_.assign(seen.begin(), seen.end());
-  std::sort(relevant_.begin(), relevant_.end());
-  stored_.assign(relevant_.size(), 0);
+  for (uint64_t word : relevant_) relevant_count_ += PopCount64(word);
+  stored_.assign(family_->params().m, 0);
+  mismatch_.assign(words_, 0);
 }
 
-std::vector<ItemId> ClientSignatureView::DiagnoseAndAdopt(
+const std::vector<ItemId>& ClientSignatureView::DiagnoseAndAdopt(
     const std::vector<uint64_t>& broadcast,
     const std::vector<ItemId>& cached_items) {
-  assert(broadcast.size() == family_->params().m);
-  std::vector<ItemId> invalid;
+  const size_t m = stored_.size();
+  assert(broadcast.size() == m);
+  invalid_.clear();
   if (!has_baseline_) {
     // Nothing to compare against yet: conservatively treat every cached item
-    // as suspect and adopt this broadcast as the baseline.
-    invalid = cached_items;
-  } else {
-    // Mismatching relevant subsets (the alpha_j = 1 entries of §3.3), as a
-    // flat byte-map over the m subsets: the per-item counting loop below
-    // probes it once per subset membership, and a direct index beats a hash
-    // lookup by an order of magnitude at report rates. The map is a reused
-    // member; only bits at relevant_ indices can be set, so clearing walks
-    // relevant_ instead of memsetting all of m.
-    if (mismatch_bits_.size() != broadcast.size()) {
-      // Sized on the first report (m is fixed per run); later reports reuse
-      // the byte-map. detlint:allow(alloc-event-path)
-      mismatch_bits_.assign(broadcast.size(), 0);
-    }
-    bool any_mismatch = false;
-    for (size_t r = 0; r < relevant_.size(); ++r) {
-      if (stored_[r] != broadcast[relevant_[r]]) {
-        mismatch_bits_[relevant_[r]] = 1;
-        any_mismatch = true;
-      }
-    }
-    if (any_mismatch) {
-      const SignatureParams& params = family_->params();
-      const double global_threshold = family_->MismatchThreshold();
-      for (ItemId item : cached_items) {
-        const std::vector<uint32_t>& subsets = family_->SubsetsOf(item);
-        uint32_t count = 0;
-        for (uint32_t j : subsets) count += mismatch_bits_[j];
-        const double threshold =
-            params.per_item_threshold
-                ? params.gamma * static_cast<double>(subsets.size())
-                : global_threshold;
-        // Diagnosis returns the invalid-id list it builds; it is sized by
-        // actual mismatches, empty on the (overwhelmingly common) clean
-        // report. detlint:allow(alloc-event-path)
-        if (static_cast<double>(count) > threshold) invalid.push_back(item);
-      }
-      for (size_t r = 0; r < relevant_.size(); ++r) {
-        mismatch_bits_[relevant_[r]] = 0;
-      }
-    }
+    // as suspect and adopt this broadcast as the baseline. Reused member
+    // storage; it grows only to the largest cache diagnosed.
+    // detlint:allow(alloc-event-path)
+    invalid_.assign(cached_items.begin(), cached_items.end());
+    std::copy(broadcast.begin(), broadcast.end(), stored_.begin());
+    has_baseline_ = true;
+    return invalid_;
   }
-  for (size_t r = 0; r < relevant_.size(); ++r) {
-    stored_[r] = broadcast[relevant_[r]];
+
+  // One pass over the m signatures: mismatch bit j is set when relevant
+  // subset j's signature changed (the alpha_j = 1 entries of §3.3), and the
+  // broadcast is adopted as the new baseline on the way. Four signatures
+  // per step give the core independent compares to overlap and replace a
+  // variable shift per signature with constant ones.
+  uint64_t any_mismatch = 0;
+  for (size_t w = 0; w < words_; ++w) {
+    const size_t base = w * 64;
+    const size_t width = std::min<size_t>(64, m - base);
+    uint64_t* old_sig = &stored_[base];
+    const uint64_t* new_sig = &broadcast[base];
+    uint64_t bits = 0;
+    size_t i = 0;
+    for (; i + 4 <= width; i += 4) {
+      const uint64_t s0 = new_sig[i];
+      const uint64_t s1 = new_sig[i + 1];
+      const uint64_t s2 = new_sig[i + 2];
+      const uint64_t s3 = new_sig[i + 3];
+      const uint64_t nibble = static_cast<uint64_t>(old_sig[i] != s0) |
+                              static_cast<uint64_t>(old_sig[i + 1] != s1) << 1 |
+                              static_cast<uint64_t>(old_sig[i + 2] != s2) << 2 |
+                              static_cast<uint64_t>(old_sig[i + 3] != s3) << 3;
+      old_sig[i] = s0;
+      old_sig[i + 1] = s1;
+      old_sig[i + 2] = s2;
+      old_sig[i + 3] = s3;
+      bits |= nibble << i;
+    }
+    for (; i < width; ++i) {
+      bits |= static_cast<uint64_t>(old_sig[i] != new_sig[i]) << i;
+      old_sig[i] = new_sig[i];
+    }
+    bits &= relevant_[w];
+    mismatch_[w] = bits;
+    any_mismatch |= bits;
   }
-  has_baseline_ = true;
-  return invalid;
+  if (any_mismatch == 0) return invalid_;
+
+  const SignatureParams& params = family_->params();
+  const double global_threshold = family_->MismatchThreshold();
+
+  // Interest lookups resume where the previous one ended while the cached
+  // ids ascend, so a sorted list walks interest_ once; a cache holding
+  // consecutive interest items finds each at the cursor without a search.
+  size_t lo = 0;
+  ItemId prev = 0;
+  for (ItemId item : cached_items) {
+    if (item < prev) lo = 0;
+    prev = item;
+    if (lo != interest_.size() && interest_[lo] < item) ++lo;
+    if (lo == interest_.size() || interest_[lo] != item) {
+      lo = static_cast<size_t>(
+          std::lower_bound(interest_.begin() + static_cast<std::ptrdiff_t>(lo),
+                           interest_.end(), item) -
+          interest_.begin());
+    }
+    uint32_t count = 0;
+    uint32_t subsets = 0;
+    if (lo != interest_.size() && interest_[lo] == item) {
+      const uint64_t* mask = &masks_[lo * words_];
+      for (size_t w = 0; w < words_; ++w) {
+        count += PopCount64(mask[w] & mismatch_[w]);
+      }
+      if (params.per_item_threshold) {
+        for (size_t w = 0; w < words_; ++w) subsets += PopCount64(mask[w]);
+      }
+    } else {
+      // Outside the interest set: only relevant subsets can mismatch.
+      const std::vector<uint32_t>& list = family_->SubsetsOf(item);
+      for (uint32_t j : list) {
+        count += static_cast<uint32_t>((mismatch_[j >> 6] >> (j & 63)) & 1);
+      }
+      subsets = static_cast<uint32_t>(list.size());
+    }
+    const double threshold =
+        params.per_item_threshold
+            ? params.gamma * static_cast<double>(subsets)
+            : global_threshold;
+    // Reused member storage sized by actual mismatches; empty on the
+    // (overwhelmingly common) clean report. detlint:allow(alloc-event-path)
+    if (static_cast<double>(count) > threshold) invalid_.push_back(item);
+  }
+  return invalid_;
 }
 
 }  // namespace mobicache

@@ -101,8 +101,9 @@ class SignatureFamily {
   bool Contains(uint32_t subset, ItemId item) const;
 
   /// Invalidations threshold: a cached item is diagnosed invalid when it
-  /// belongs to strictly more than this many mismatching subsets.
-  double MismatchThreshold() const;
+  /// belongs to strictly more than this many mismatching subsets. Computed
+  /// once per family: clients compare against it on every report.
+  double MismatchThreshold() const { return mismatch_threshold_; }
 
   uint64_t n() const { return n_; }
   const SignatureParams& params() const { return params_; }
@@ -118,6 +119,8 @@ class SignatureFamily {
   uint64_t sig_mask_;       // low-g-bits mask
   double member_prob_;      // 1/(f+1)
   double log1m_member_;     // ln(1 - member_prob_), for geometric skipping
+  /// K * p * m, the global threshold (see MismatchThreshold).
+  double mismatch_threshold_;
 
   // SubsetsOf memo (see its doc comment). memo_bytes_ tracks the payload of
   // memo_ against kMemoBudgetBytes; scratch_ serves items past the budget.
@@ -158,34 +161,51 @@ class ServerSignatureState {
 
 /// Client-side diagnosis state: the combined signatures this MU last heard
 /// for the subsets that cover its items of interest.
+///
+/// Subset membership is held as bitsets over the m subsets: one
+/// ceil(m/64)-word mask per interest item, built once from the memoized
+/// SubsetsOf, plus their union (the relevant subsets). A report costs one
+/// pass over the m signatures to build the mismatch words, then an AND and
+/// a popcount per mask word for each cached item — integer work whose
+/// counts, and therefore diagnoses, are exactly those of counting each
+/// item's mismatching subsets one by one.
 class ClientSignatureView {
  public:
-  /// `interest` is the item set this client may cache (its hot spot). Only
-  /// subsets intersecting it are retained, as in the paper.
+  /// `interest` is the item set this client may cache (its hot spot; any
+  /// order, duplicates allowed). Only subsets intersecting it are
+  /// retained, as in the paper.
   ClientSignatureView(const SignatureFamily* family,
                       const std::vector<ItemId>& interest);
 
   /// Diagnoses `cached_items` against a fresh broadcast of all m combined
   /// signatures. Returns the items whose count of mismatching subsets
-  /// exceeds the threshold (the set T of §3.3). Afterwards the broadcast
-  /// becomes this client's stored baseline.
-  std::vector<ItemId> DiagnoseAndAdopt(
+  /// exceeds the threshold (the set T of §3.3), in `cached_items` order.
+  /// Afterwards the broadcast becomes this client's stored baseline. The
+  /// returned list is reused storage, valid until the next call. Sorted
+  /// `cached_items` find their interest masks fastest; cached items outside
+  /// the interest set count only relevant subsets, through SubsetsOf.
+  const std::vector<ItemId>& DiagnoseAndAdopt(
       const std::vector<uint64_t>& broadcast,
       const std::vector<ItemId>& cached_items);
 
   /// Number of subset signatures this client retains.
-  size_t cached_signature_count() const { return relevant_.size(); }
+  size_t cached_signature_count() const { return relevant_count_; }
 
   /// Whether the client has adopted at least one broadcast yet.
   bool has_baseline() const { return has_baseline_; }
 
  private:
   const SignatureFamily* family_;
-  std::vector<uint32_t> relevant_;      // ascending subset indices of interest
-  std::vector<uint64_t> stored_;        // signature per relevant_ entry
-  /// Reused flat map over the m subsets marking this report's mismatches
-  /// (only indices in relevant_ are ever set; cleared after each diagnosis).
-  std::vector<uint8_t> mismatch_bits_;
+  size_t words_ = 0;                // ceil(m / 64)
+  std::vector<ItemId> interest_;    // ascending, distinct
+  std::vector<uint64_t> masks_;     // words_ per interest_ entry
+  std::vector<uint64_t> relevant_;  // union of masks_: retained subsets
+  size_t relevant_count_ = 0;
+  /// Last adopted signature per subset; only relevant entries are read.
+  std::vector<uint64_t> stored_;
+  /// This report's mismatching relevant subsets (the alpha_j = 1 entries).
+  std::vector<uint64_t> mismatch_;
+  std::vector<ItemId> invalid_;  // DiagnoseAndAdopt's result storage
   bool has_baseline_ = false;
 };
 

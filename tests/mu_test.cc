@@ -1,4 +1,7 @@
+#include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -294,6 +297,111 @@ TEST(MobileUnitTest, ResetStatsClearsCounters) {
   EXPECT_EQ(rig.unit->stats().queries_answered, 0u);
   EXPECT_EQ(rig.unit->stats().reports_heard, 0u);
 }
+
+// First-arrival semantics of the batched arrival generator, checked against
+// a std::map reference fed from the same Rng stream in the per-event
+// engine's draw order (gap, then item): within an interval, the first
+// arrival per item id wins, and batches are answered in ascending id.
+struct ArrivalCase {
+  std::string name;
+  std::vector<ItemId> hotspot;
+  double zipf_theta;
+};
+
+class ArrivalSemanticsTest : public ::testing::TestWithParam<ArrivalCase> {};
+
+TEST_P(ArrivalSemanticsTest, MatchesFirstArrivalMapReference) {
+  const ArrivalCase& c = GetParam();
+  constexpr double kLatency = 10.0;
+  constexpr double kLambda = 0.1;
+  constexpr uint64_t kSeed = 77;
+  constexpr uint64_t kIntervals = 300;
+
+  MobileUnitConfig config;
+  config.latency = kLatency;
+  config.lambda_per_item = kLambda;
+  config.hotspot = c.hotspot;
+  config.query_zipf_theta = c.zipf_theta;
+  Simulator sim;
+  FakeUplink uplink(&sim);
+  MobileUnit unit(&sim, config, std::make_unique<NoCacheClientManager>(),
+                  std::make_unique<BernoulliSleepModel>(0.0, 1), &uplink,
+                  kSeed);
+  ASSERT_TRUE(unit.Start().ok());
+  // Report i answers the arrivals of interval i - 1 (no-cache: every batch
+  // goes uplink, so the uplink log is the answer order). Afterwards only
+  // interval i's batches are queued: one per distinct id.
+  std::vector<size_t> queued;
+  for (uint64_t i = 0; i <= kIntervals; ++i) {
+    NullReport r;
+    r.interval = i;
+    r.timestamp = kLatency * static_cast<double>(i);
+    sim.RunUntil(r.timestamp);
+    unit.OnBroadcast(Report(r), 0.0);
+    queued.push_back(unit.pending_batches());
+  }
+
+  // Reference: every awake interval 0..kIntervals draws its arrivals at its
+  // tick; intervals before the last are answered at the next report.
+  Rng rng(kSeed);
+  std::unique_ptr<ZipfDistribution> zipf;
+  if (c.zipf_theta > 0.0) {
+    zipf = std::make_unique<ZipfDistribution>(c.hotspot.size(), c.zipf_theta);
+  }
+  const double rate = kLambda * static_cast<double>(c.hotspot.size());
+  uint64_t issued = 0;
+  std::vector<std::pair<ItemId, SimTime>> answers;  // (id, answer time)
+  std::vector<size_t> distinct;
+  OnlineStats latency;
+  SimTime tick = 0.0;
+  for (uint64_t i = 0; i <= kIntervals; ++i) {
+    const SimTime end = tick + kLatency;
+    std::map<ItemId, SimTime> first;
+    for (SimTime t = tick;;) {
+      t += rng.Exponential(rate);
+      if (t >= end) break;
+      const uint64_t index = zipf != nullptr
+                                 ? zipf->Sample(rng)
+                                 : rng.NextUint64(c.hotspot.size());
+      ++issued;
+      first.emplace(c.hotspot[index], t);
+    }
+    distinct.push_back(first.size());
+    if (i < kIntervals) {
+      for (const auto& [id, t] : first) {
+        answers.emplace_back(id, end);
+        latency.Add(end - t);
+      }
+    }
+    tick = end;
+  }
+
+  EXPECT_EQ(unit.stats().queries_issued, issued);
+  EXPECT_EQ(queued, distinct);
+  ASSERT_EQ(uplink.queries.size(), answers.size());
+  for (size_t k = 0; k < answers.size(); ++k) {
+    ASSERT_EQ(uplink.queries[k].id, answers[k].first) << "answer " << k;
+    ASSERT_EQ(uplink.queries[k].time, answers[k].second) << "answer " << k;
+  }
+  const OnlineStats& got = unit.stats().answer_latency;
+  EXPECT_EQ(got.count(), latency.count());
+  EXPECT_EQ(got.mean(), latency.mean());
+  EXPECT_EQ(got.variance(), latency.variance());
+  EXPECT_EQ(got.min(), latency.min());
+  EXPECT_EQ(got.max(), latency.max());
+  // The matrix must exercise same-interval repeats of one id.
+  EXPECT_GT(issued, answers.size() + 100);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    HotSpots, ArrivalSemanticsTest,
+    ::testing::Values(
+        ArrivalCase{"UnsortedWithDuplicate", {7, 3, 9, 3, 12, 0}, 0.0},
+        ArrivalCase{"SortedZipf", {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 0.9},
+        ArrivalCase{"UnsortedDuplicateZipf", {40, 5, 17, 5, 2, 33, 17}, 1.1}),
+    [](const ::testing::TestParamInfo<ArrivalCase>& param_info) {
+      return param_info.param.name;
+    });
 
 }  // namespace
 }  // namespace mobicache

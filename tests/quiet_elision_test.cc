@@ -18,8 +18,9 @@
 //    horizon is one interval stale by construction.
 //  * Allocation-freedom: once warm, the broadcast path — arena report
 //    reuse, delivery scheduling, awake-set fan-out, and the elided variant —
-//    performs zero heap allocations, asserted as a delta around a measured
-//    span with a counting global operator new.
+//    and the TS/AT/SIG client path — arrivals, report diagnosis, hits and
+//    uplink misses — perform zero heap allocations, asserted as a delta
+//    around a measured span with a counting global operator new.
 
 #include <atomic>
 #include <cctype>
@@ -37,8 +38,11 @@
 #include "mu/mobile_unit.h"
 
 // Counts every global operator new in this test binary so the broadcast
-// path's allocation-free contract can be asserted as a delta around a
-// measured span. Atomic because parts of the suite also run under TSan.
+// and client paths' allocation-free contracts can be asserted as a delta
+// around a measured span. Atomic because parts of the suite also run under
+// TSan. The nothrow forms (std::stable_sort's temporary buffer) are
+// replaced too: every new/delete pair must meet in the same malloc/free
+// family, or ASan reports an alloc-dealloc mismatch.
 namespace {
 std::atomic<size_t> g_new_calls{0};
 }  // namespace
@@ -59,6 +63,15 @@ MOBICACHE_TEST_NOINLINE void* operator new(std::size_t size) {
 MOBICACHE_TEST_NOINLINE void* operator new[](std::size_t size) {
   return ::operator new(size);
 }
+MOBICACHE_TEST_NOINLINE void* operator new(std::size_t size,
+                                           const std::nothrow_t&) noexcept {
+  ++g_new_calls;
+  return std::malloc(size);
+}
+MOBICACHE_TEST_NOINLINE void* operator new[](std::size_t size,
+                                             const std::nothrow_t&) noexcept {
+  return ::operator new(size, std::nothrow);
+}
 MOBICACHE_TEST_NOINLINE void operator delete(void* p) noexcept {
   std::free(p);
 }
@@ -69,6 +82,14 @@ MOBICACHE_TEST_NOINLINE void operator delete(void* p, std::size_t) noexcept {
   std::free(p);
 }
 MOBICACHE_TEST_NOINLINE void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+MOBICACHE_TEST_NOINLINE void operator delete(void* p,
+                                             const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+MOBICACHE_TEST_NOINLINE void operator delete[](void* p,
+                                               const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
@@ -402,6 +423,68 @@ TEST_F(BroadcastAllocationTest, ElidedSteadyStateAllocatesNothing) {
       << "warm elided broadcast path allocated";
   EXPECT_GT(cell.server()->stats().quiet_skipped_intervals, 0u);
 }
+
+// ---------------------------------------------------------------------------
+// Allocation-freedom of the warm client path: every unit awake (s = 0) with
+// a live query stream, so each interval generates arrivals, seals and
+// answers query batches (hits, and uplink misses that refill the cache),
+// and diagnoses each report against the cache — TS/AT id lists and SIG
+// signatures alike.
+//
+// A unit's batch lists hold one entry per distinct hot-spot item, so their
+// reused storage is bounded by the hot-spot size and stops growing once an
+// interval has queried the whole hot spot. The rate here (5 queries per
+// item per interval) queries every item in nearly every interval, so the
+// warm-up reaches that bound and any allocation in the measured span is a
+// per-interval cost rather than a new high-water mark. At thinner rates the
+// lists still grow on record intervals, up to the same bound.
+
+class ClientAllocationTest
+    : public BroadcastAllocationTest,
+      public ::testing::WithParamInterface<StrategyKind> {};
+
+TEST_P(ClientAllocationTest, WarmClientCycleAllocatesNothing) {
+  CellConfig config = BaseConfig(GetParam(), 0.0);
+  config.model.lambda = 0.5;
+  config.num_units = 8;
+  Cell cell(config);
+  ASSERT_TRUE(cell.Build().ok());
+  StartAndWarm(&cell, /*intervals=*/120, /*updates_per_interval=*/3,
+               /*warm=*/60);
+  MobileUnitStats warm;
+  for (MobileUnit* unit : cell.units()) {
+    warm.queries_answered += unit->stats().queries_answered;
+    warm.hits += unit->stats().hits;
+    warm.misses += unit->stats().misses;
+    warm.items_invalidated += unit->stats().items_invalidated;
+  }
+
+  const size_t before = g_new_calls.load();
+  cell.sim()->RunUntil(config.model.L * 110.0 + 0.5 * config.model.L);
+  EXPECT_EQ(g_new_calls.load() - before, 0u)
+      << "warm client path allocated";
+
+  // The measured span ran the whole client cycle.
+  MobileUnitStats after;
+  for (MobileUnit* unit : cell.units()) {
+    after.queries_answered += unit->stats().queries_answered;
+    after.hits += unit->stats().hits;
+    after.misses += unit->stats().misses;
+    after.items_invalidated += unit->stats().items_invalidated;
+  }
+  EXPECT_GT(after.queries_answered, warm.queries_answered);
+  EXPECT_GT(after.hits, warm.hits);
+  EXPECT_GT(after.misses, warm.misses);
+  EXPECT_GT(after.items_invalidated, warm.items_invalidated);
+}
+
+INSTANTIATE_TEST_SUITE_P(ReportStrategies, ClientAllocationTest,
+                         ::testing::Values(StrategyKind::kTs,
+                                           StrategyKind::kAt,
+                                           StrategyKind::kSig),
+                         [](const ::testing::TestParamInfo<StrategyKind>& p) {
+                           return std::string(StrategyName(p.param));
+                         });
 
 }  // namespace
 }  // namespace mobicache

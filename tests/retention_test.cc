@@ -292,11 +292,12 @@ TEST(RetentionTwinTest, NoneRetentionKeepsNoJournal) {
   none.SetRetention(JournalRetention::kNone);
   FeedUpdates(&none);
 
+  // A disabled journal holds nothing; its history readers are off limits
+  // (they assert a live journal), so the footprint is the whole check.
+  EXPECT_FALSE(none.journal_enabled());
   EXPECT_EQ(none.journal_size(), 0u);
   EXPECT_EQ(none.journal_bytes(), 0u);
   EXPECT_EQ(none.journal_bytes_peak(), 0u);
-  EXPECT_TRUE(none.UpdatedIn(0.0, 1e9).empty());
-  EXPECT_EQ(none.CountUpdatedIn(0.0, 1e9), 0u);
 
   // The hot slab is unaffected by retention: live state matches a journaling
   // twin fed the same stream.
@@ -325,9 +326,10 @@ TEST(RetentionTwinTest, JournalBytesPeakIsAHighWaterMark) {
   EXPECT_EQ(db.journal_bytes_peak(), peak_before);
 
   // Appending after the prune grows bytes again; the peak only moves once
-  // the live footprint exceeds it.
+  // the live footprint exceeds it. FeedUpdates ends near t = 513, and the
+  // journal only takes appends at or after its tail.
   std::vector<ItemId> ids{1, 2, 3};
-  std::vector<SimTime> times{500.0, 500.5, 501.0};
+  std::vector<SimTime> times{600.0, 600.5, 601.0};
   db.ApplyUpdateBatch(ids.data(), times.data(), ids.size());
   EXPECT_GE(db.journal_bytes_peak(), db.journal_bytes());
   EXPECT_EQ(db.journal_bytes_peak(), peak_before);

@@ -1,10 +1,14 @@
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "db/database.h"
 #include "sig/signature.h"
+#include "util/random.h"
 
 namespace mobicache {
 namespace {
@@ -270,6 +274,187 @@ TEST(ClientSignatureViewTest, DetectionSurvivesManySimultaneousChanges) {
   }
   const auto invalid = view.DiagnoseAndAdopt(server.Combined(), {1, 2, 3});
   EXPECT_NE(std::find(invalid.begin(), invalid.end(), 2), invalid.end());
+}
+
+// ---------------------------------------------------------------------------
+// Differential check of the bitset diagnosis against the byte-map algorithm
+// it replaced: a flat per-subset mismatch byte-map over the relevant subsets
+// (the sorted union of the interest items' SubsetsOf), and a per-item count
+// of mismatching subsets walked through SubsetsOf.
+
+class ByteMapSignatureView {
+ public:
+  ByteMapSignatureView(const SignatureFamily* family,
+                       const std::vector<ItemId>& interest)
+      : family_(family) {
+    std::unordered_set<uint32_t> seen;
+    for (ItemId item : interest) {
+      for (uint32_t j : family_->SubsetsOf(item)) seen.insert(j);
+    }
+    relevant_.assign(seen.begin(), seen.end());
+    std::sort(relevant_.begin(), relevant_.end());
+    stored_.assign(relevant_.size(), 0);
+  }
+
+  std::vector<ItemId> DiagnoseAndAdopt(
+      const std::vector<uint64_t>& broadcast,
+      const std::vector<ItemId>& cached_items) {
+    std::vector<ItemId> invalid;
+    if (!has_baseline_) {
+      invalid = cached_items;
+    } else {
+      if (mismatch_bits_.size() != broadcast.size()) {
+        mismatch_bits_.assign(broadcast.size(), 0);
+      }
+      bool any_mismatch = false;
+      for (size_t r = 0; r < relevant_.size(); ++r) {
+        if (stored_[r] != broadcast[relevant_[r]]) {
+          mismatch_bits_[relevant_[r]] = 1;
+          any_mismatch = true;
+        }
+      }
+      if (any_mismatch) {
+        const SignatureParams& params = family_->params();
+        const double global_threshold =
+            params.k_threshold *
+            ValidItemMismatchProbability(params.f, params.g) *
+            static_cast<double>(params.m);
+        for (ItemId item : cached_items) {
+          const std::vector<uint32_t>& subsets = family_->SubsetsOf(item);
+          uint32_t count = 0;
+          for (uint32_t j : subsets) count += mismatch_bits_[j];
+          const double threshold =
+              params.per_item_threshold
+                  ? params.gamma * static_cast<double>(subsets.size())
+                  : global_threshold;
+          if (static_cast<double>(count) > threshold) invalid.push_back(item);
+        }
+        for (size_t r = 0; r < relevant_.size(); ++r) {
+          mismatch_bits_[relevant_[r]] = 0;
+        }
+      }
+    }
+    for (size_t r = 0; r < relevant_.size(); ++r) {
+      stored_[r] = broadcast[relevant_[r]];
+    }
+    has_baseline_ = true;
+    return invalid;
+  }
+
+  size_t cached_signature_count() const { return relevant_.size(); }
+
+ private:
+  const SignatureFamily* family_;
+  std::vector<uint32_t> relevant_;
+  std::vector<uint64_t> stored_;
+  std::vector<uint8_t> mismatch_bits_;
+  bool has_baseline_ = false;
+};
+
+/// `count` draws from [0, n), duplicates allowed, in draw order.
+std::vector<ItemId> RandomIds(Rng& rng, uint64_t n, uint64_t count) {
+  std::vector<ItemId> ids;
+  for (uint64_t i = 0; i < count; ++i) {
+    ids.push_back(static_cast<ItemId>(rng.NextUint64(n)));
+  }
+  return ids;
+}
+
+/// A cache-like id list: mostly interest items plus a few outsiders, sorted
+/// and distinct half the time (as the strategies pass it), otherwise in
+/// draw order with repeats.
+std::vector<ItemId> RandomCached(Rng& rng, const std::vector<ItemId>& interest,
+                                 uint64_t n) {
+  std::vector<ItemId> cached;
+  for (ItemId id : interest) {
+    if (rng.Bernoulli(0.7)) cached.push_back(id);
+  }
+  const uint64_t outsiders = rng.NextUint64(4);
+  for (uint64_t i = 0; i < outsiders; ++i) {
+    cached.push_back(static_cast<ItemId>(rng.NextUint64(n)));
+  }
+  if (rng.Bernoulli(0.5)) {
+    std::sort(cached.begin(), cached.end());
+    cached.erase(std::unique(cached.begin(), cached.end()), cached.end());
+  } else {
+    for (size_t i = cached.size(); i > 1; --i) {
+      std::swap(cached[i - 1], cached[rng.NextUint64(i)]);
+    }
+  }
+  return cached;
+}
+
+TEST(ClientSignatureViewTest, BitsetDiagnosisMatchesByteMapReference) {
+  constexpr uint64_t kItems = 300;
+  const uint32_t ms[] = {1, 63, 64, 65, 654, 4096};
+  const uint32_t gs[] = {1, 16, 64};
+  const double ks[] = {0.25, 1.25, 2.0};
+  uint64_t invalidations = 0;
+  uint64_t outsider_checks = 0;
+  for (uint32_t m : ms) {
+    for (uint32_t g : gs) {
+      for (bool per_item : {false, true}) {
+        SCOPED_TRACE("m=" + std::to_string(m) + " g=" + std::to_string(g) +
+                     " per_item=" + std::to_string(per_item));
+        Rng rng(1000003ULL * m + 101ULL * g + (per_item ? 1 : 0));
+        SignatureParams params;
+        params.m = m;
+        params.f = 1 + static_cast<uint32_t>(rng.NextUint64(10));
+        params.g = g;
+        params.k_threshold = ks[rng.NextUint64(3)];
+        params.per_item_threshold = per_item;
+        Database db(kItems, /*seed=*/m + g);
+        SignatureFamily family(kItems, params, /*seed=*/7 * m + g);
+        ServerSignatureState server(&family, &db);
+
+        // Unsorted interest list with repeats.
+        const std::vector<ItemId> interest =
+            RandomIds(rng, kItems, 5 + rng.NextUint64(30));
+        ClientSignatureView view(&family, interest);
+        ByteMapSignatureView reference(&family, interest);
+        ASSERT_EQ(view.cached_signature_count(),
+                  reference.cached_signature_count());
+
+        SimTime t = 0.0;
+        for (int round = 0; round < 40; ++round) {
+          // Updates land on interest items and elsewhere alike.
+          const uint64_t updates = rng.NextUint64(4);
+          for (uint64_t u = 0; u < updates; ++u) {
+            const ItemId id =
+                rng.Bernoulli(0.5)
+                    ? interest[rng.NextUint64(interest.size())]
+                    : static_cast<ItemId>(rng.NextUint64(kItems));
+            t += 1.0;
+            db.ApplyUpdate(id, t);
+            server.OnItemChanged(id);
+          }
+          // Round 0 is the first report (no baseline); later rounds skip a
+          // report now and then, as a dozing client does.
+          if (round > 0 && rng.Bernoulli(0.25)) continue;
+          const std::vector<ItemId> cached =
+              RandomCached(rng, interest, kItems);
+          for (ItemId id : cached) {
+            if (std::find(interest.begin(), interest.end(), id) ==
+                interest.end()) {
+              ++outsider_checks;
+            }
+          }
+          const std::vector<ItemId> want =
+              reference.DiagnoseAndAdopt(server.Combined(), cached);
+          const std::vector<ItemId>& got =
+              view.DiagnoseAndAdopt(server.Combined(), cached);
+          ASSERT_EQ(got, want) << "round " << round;
+          EXPECT_TRUE(view.has_baseline());
+          if (round > 0) invalidations += got.size();
+        }
+        EXPECT_EQ(view.cached_signature_count(),
+                  reference.cached_signature_count());
+      }
+    }
+  }
+  // The matrix must reach the counting path, not only clean reports.
+  EXPECT_GT(invalidations, 0u);
+  EXPECT_GT(outsider_checks, 0u);
 }
 
 }  // namespace

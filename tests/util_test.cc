@@ -243,6 +243,32 @@ TEST(BitsTest, BitsForIds) {
   EXPECT_EQ(BitsForIds(1000000), 20u);
 }
 
+uint32_t NaivePopCount(uint64_t x) {
+  uint32_t count = 0;
+  for (int bit = 0; bit < 64; ++bit) {
+    count += static_cast<uint32_t>((x >> bit) & 1);
+  }
+  return count;
+}
+
+TEST(BitsTest, PopCount64MatchesBitLoop) {
+  EXPECT_EQ(PopCount64(0), 0u);
+  EXPECT_EQ(PopCount64(~uint64_t{0}), 64u);
+  for (int bit = 0; bit < 64; ++bit) {
+    EXPECT_EQ(PopCount64(uint64_t{1} << bit), 1u) << bit;
+    EXPECT_EQ(PopCount64(~(uint64_t{1} << bit)), 63u) << bit;
+  }
+  Rng rng(2024);
+  for (int i = 0; i < 10000; ++i) {
+    // Thin, dense and plain random words.
+    const uint64_t a = rng.NextBits();
+    const uint64_t b = rng.NextBits();
+    for (uint64_t x : {a, a & b, a | b, a & b & rng.NextBits()}) {
+      ASSERT_EQ(PopCount64(x), NaivePopCount(x)) << x;
+    }
+  }
+}
+
 TEST(BitsTest, FormatBitsScales) {
   EXPECT_EQ(FormatBits(512), "512 b");
   EXPECT_EQ(FormatBits(12400), "12.4 Kb");
