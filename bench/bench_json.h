@@ -55,7 +55,7 @@ struct BenchRecord {
   std::string simd_kernel;
 
   // Per-phase wall shares, summed across the simulated cells (see
-  // exp/megacell.h for the phase definitions): the serial server phases,
+  // exp/cell.h for the phase definitions): the serial server phases,
   // the parallel shard phases' critical path, and the barrier
   // replay-merges. server + shard + replay approximates wall_seconds minus
   // build time when cells run serially. replay_records counts the log

@@ -1,5 +1,5 @@
 // Megacell scaling bench: one large cell, sharded across threads by the
-// interval-lockstep engine (exp/megacell.h). Sweeps the unit population
+// interval-lockstep engine (exp/cell.h). Sweeps the unit population
 // across decades and the shard count across {1, 2, 4, ...}, verifying on the
 // way that every shard count reproduces the shards=1 integer counters, and
 // emits BENCH_megacell.json with per-run wall time, events/sec, the
@@ -26,7 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "exp/megacell.h"
+#include "exp/cell.h"
 #include "util/thread_pool.h"
 
 namespace mobicache {
@@ -120,19 +120,18 @@ BenchArgs ParseArgs(int argc, char** argv) {
 /// One cell configuration scaled to `units` MUs: a 10^4-item database with a
 /// small shared hot spot keeps per-unit event rates paper-like (~1 query per
 /// unit-interval) while the population carries the scaling load.
-MegaCellConfig MakeConfig(uint64_t units, uint64_t shards, uint64_t seed) {
-  MegaCellConfig mc;
-  mc.cell.model.n = 10000;
-  mc.cell.model.lambda = 0.01;
-  mc.cell.model.mu = 1e-4;
-  mc.cell.model.L = 10.0;
-  mc.cell.model.s = 0.3;
-  mc.cell.strategy = StrategyKind::kTs;
-  mc.cell.num_units = units;
-  mc.cell.hotspot_size = 8;
-  mc.cell.seed = seed;
-  mc.num_shards = static_cast<uint32_t>(shards);
-  return mc;
+CellConfig MakeConfig(uint64_t units, uint64_t seed) {
+  CellConfig cc;
+  cc.model.n = 10000;
+  cc.model.lambda = 0.01;
+  cc.model.mu = 1e-4;
+  cc.model.L = 10.0;
+  cc.model.s = 0.3;
+  cc.strategy = StrategyKind::kTs;
+  cc.num_units = units;
+  cc.hotspot_size = 8;
+  cc.seed = seed;
+  return cc;
 }
 
 std::string Num(double v) {
@@ -194,7 +193,7 @@ int Main(int argc, char** argv) {
                     static_cast<unsigned long long>(shards));
         continue;
       }
-      MegaCell cell(MakeConfig(units, shards, args.seed));
+      Cell cell(MakeConfig(units, args.seed), static_cast<uint32_t>(shards));
 
       auto t0 = std::chrono::steady_clock::now();
       Status st = cell.Build();
@@ -232,7 +231,7 @@ int Main(int argc, char** argv) {
       rec.replay_share = rec.run_seconds > 0.0
                              ? rec.replay_wall_seconds / rec.run_seconds
                              : 0.0;
-      for (const MegaCellShardStats& ss : cell.shard_stats()) {
+      for (const CellShardStats& ss : cell.shard_stats()) {
         rec.shard_wall_seconds.push_back(ss.wall_seconds);
       }
       rec.hit_ratio = result.hit_ratio;

@@ -1,4 +1,4 @@
-// Sleeper-population scaling bench: one classic (unsharded) cell swept
+// Sleeper-population scaling bench: one single-shard cell swept
 // across sleep probability s and population size, measuring how many
 // discrete events the engine dispatches and how fast. The point of the
 // sleep fast-forward + batched-arrival engine is that a sleeping unit costs
@@ -39,7 +39,7 @@ struct RunRecord {
   double s = 0.0;
   double build_seconds = 0.0;
   double run_seconds = 0.0;
-  /// Wall time in the server's broadcast path (build/elide + fan-out),
+  /// Wall time in the server phases (broadcast build/elide, update drain),
   /// warmup included — the quiet-elision win shows up here: at high s most
   /// intervals are elided and server_seconds collapses toward zero.
   double server_seconds = 0.0;

@@ -11,9 +11,8 @@ AtServerStrategy::AtServerStrategy(const Database* db, SimTime latency)
 }
 
 Report AtServerStrategy::BuildReport(SimTime now, uint64_t interval) {
-  // Fresh-report path: reached only through MaterializeQuiet, the rare
-  // catch-up when a unit wakes into an elided stretch; building a new
-  // report is the point. detlint:allow-function(alloc-event-path)
+  // Fresh-report path for callers outside the server's arena; building a
+  // new report is the point. detlint:allow-function(alloc-event-path)
   AtReport report;
   report.interval = interval;
   report.timestamp = now;
@@ -49,8 +48,10 @@ bool AtServerStrategy::AdvanceQuiet(SimTime now, uint64_t interval,
   return true;
 }
 
-Report AtServerStrategy::MaterializeQuiet(SimTime now, uint64_t interval) {
-  return BuildReport(now, interval);
+void AtServerStrategy::MaterializeQuietInto(SimTime now, uint64_t interval,
+                                           Report* out) {
+  // AT keeps no state across intervals: rebuilding is reconstructing.
+  BuildReportInto(now, interval, out);
 }
 
 uint64_t AtClientManager::OnReport(const Report& report, ClientCache* cache) {

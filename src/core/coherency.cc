@@ -45,15 +45,20 @@ SimTime QuasiAtServerStrategy::JournalHorizonSeconds() const {
 }
 
 void QuasiAtServerStrategy::OnUplinkQuery(const UplinkQueryInfo& info) {
+  // The cell replays uplinks at the interval barrier, when the database has
+  // already advanced to the window cut; the fetched version is the one at
+  // the query instant, read from the full-window journal.
+  assert(db_->retention() == JournalRetention::kFullWindow);
   ItemObligation& ob = obligations_[info.id];
   if (!ob.has_outstanding) {
     // First copy handed out since the last inclusion: the fetching client
-    // leaves with the current version, and the delay clock starts now.
+    // leaves with the version current at the fetch, and the delay clock
+    // starts then.
     ob.has_outstanding = true;
     ob.eligible_at =
         static_cast<uint64_t>(std::floor(info.time / latency_)) +
         alpha_intervals_;
-    ob.last_included_version = db_->VersionOf(info.id);
+    ob.last_included_version = db_->VersionAt(info.id, info.time);
   }
   // Later fetches inherit the earlier (stricter) obligation: the oldest
   // outstanding copy governs the reporting deadline.

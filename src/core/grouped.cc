@@ -73,9 +73,11 @@ bool GroupedAtServerStrategy::AdvanceQuiet(SimTime now, uint64_t interval,
   return true;
 }
 
-Report GroupedAtServerStrategy::MaterializeQuiet(SimTime now,
-                                                 uint64_t interval) {
-  return BuildReport(now, interval);
+void GroupedAtServerStrategy::MaterializeQuietInto(SimTime now,
+                                                   uint64_t interval,
+                                                   Report* out) {
+  // Stateless across intervals, like AT: rebuilding is reconstructing.
+  BuildReportInto(now, interval, out);
 }
 
 GroupedAtClientManager::GroupedAtClientManager(uint64_t n,

@@ -32,7 +32,8 @@ class HybridSigServerStrategy : public ServerStrategy {
   void BuildReportInto(SimTime now, uint64_t interval, Report* out) override;
   bool AdvanceQuiet(SimTime now, uint64_t interval, const MessageSizes& sizes,
                     uint64_t* bits) override;
-  Report MaterializeQuiet(SimTime now, uint64_t interval) override;
+  void MaterializeQuietInto(SimTime now, uint64_t interval,
+                            Report* out) override;
   void AttachUpdateFeed(Database* db) override;
   SimTime JournalHorizonSeconds() const override { return latency_; }
   /// With the feed attached, FoldChangesThrough reads only the dirty set and
@@ -63,7 +64,7 @@ class HybridSigServerStrategy : public ServerStrategy {
   std::vector<uint8_t> dirty_flags_;
   std::vector<ItemId> dirty_ids_;
   // Hot ids of the interval most recently consumed by AdvanceQuiet, kept so
-  // MaterializeQuiet can reconstruct the elided report.
+  // MaterializeQuietInto can reconstruct the elided report.
   std::vector<ItemId> quiet_hot_scratch_;
   SimTime quiet_now_ = 0.0;
 };

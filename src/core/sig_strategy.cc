@@ -61,6 +61,11 @@ Report SigServerStrategy::BuildReport(SimTime now, uint64_t interval) {
 void SigServerStrategy::BuildReportInto(SimTime now, uint64_t interval,
                                         Report* out) {
   FoldChangesThrough(now);
+  FillReport(now, interval, out);
+}
+
+void SigServerStrategy::FillReport(SimTime now, uint64_t interval,
+                                   Report* out) const {
   SigReport* sig = std::get_if<SigReport>(out);
   // Variant switch happens on the first broadcast only. detlint:allow(alloc-event-path)
   if (sig == nullptr) sig = &out->emplace<SigReport>();
@@ -83,13 +88,10 @@ bool SigServerStrategy::AdvanceQuiet(SimTime now, uint64_t interval,
   return true;
 }
 
-Report SigServerStrategy::MaterializeQuiet(SimTime now, uint64_t interval) {
+void SigServerStrategy::MaterializeQuietInto(SimTime now, uint64_t interval,
+                                            Report* out) {
   assert(last_folded_ == now);
-  SigReport report;
-  report.interval = interval;
-  report.timestamp = now;
-  report.combined = state_.Combined();
-  return report;
+  FillReport(now, interval, out);
 }
 
 SigClientManager::SigClientManager(const SignatureFamily* family,

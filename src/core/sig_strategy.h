@@ -30,7 +30,8 @@ class SigServerStrategy : public ServerStrategy {
   void BuildReportInto(SimTime now, uint64_t interval, Report* out) override;
   bool AdvanceQuiet(SimTime now, uint64_t interval, const MessageSizes& sizes,
                     uint64_t* bits) override;
-  Report MaterializeQuiet(SimTime now, uint64_t interval) override;
+  void MaterializeQuietInto(SimTime now, uint64_t interval,
+                            Report* out) override;
   void AttachUpdateFeed(Database* db) override;
   SimTime JournalHorizonSeconds() const override { return latency_; }
   /// With the feed attached, FoldChangesThrough reads only the dirty set,
@@ -44,6 +45,9 @@ class SigServerStrategy : public ServerStrategy {
   /// Folds every item changed since the last snapshot into the combined
   /// signatures (the state-advance half of BuildReport).
   void FoldChangesThrough(SimTime now);
+  /// Writes the current combined signatures into `*out`, reusing its
+  /// storage when it already holds a SIG report.
+  void FillReport(SimTime now, uint64_t interval, Report* out) const;
 
   const Database* db_;
   const SignatureFamily* family_;

@@ -4,19 +4,12 @@
 
 namespace mobicache {
 
-StatefulRegistry::StatefulRegistry(StatefulMode mode, Channel* channel,
-                                   MessageSizes sizes)
-    : mode_(mode), channel_(channel), sizes_(sizes) {}
+StatefulRegistry::StatefulRegistry(StatefulMode mode, MessageSizes sizes)
+    : mode_(mode), sizes_(sizes) {}
 
 void StatefulRegistry::TransmitBits(uint64_t bits, TrafficClass cls) {
-  if (transmit_sink_) {
-    transmit_sink_(bits, cls);
-  } else if (channel_ != nullptr) {
-    channel_->Transmit(bits, cls);
-  } else {
-    assert(mode_ == StatefulMode::kIdeal &&
-           "kStateful registry needs a channel or a transmit sink");
-  }
+  assert(transmit_sink_ && "kStateful registry needs a transmit sink");
+  transmit_sink_(bits, cls);
 }
 
 StatefulRegistry::ClientId StatefulRegistry::RegisterClient(

@@ -34,17 +34,15 @@ class StatefulRegistry {
  public:
   using ClientId = uint32_t;
 
-  /// `channel` may be null in kIdeal mode (nothing is transmitted), or in
-  /// kStateful mode when a transmit sink is installed before the first
-  /// client activity (see SetTransmitSink).
-  StatefulRegistry(StatefulMode mode, Channel* channel, MessageSizes sizes);
+  /// kStateful mode transmits, so it needs a transmit sink installed before
+  /// the first client activity (see SetTransmitSink); kIdeal sends nothing.
+  StatefulRegistry(StatefulMode mode, MessageSizes sizes);
 
-  /// Redirects every channel charge (control messages, invalidation sends)
-  /// to `sink` instead of the channel. The sharded cell engine gives each
-  /// shard its own registry replica with a sink that logs (bits, class)
-  /// records for chronologically-merged replay onto the real channel at the
-  /// interval barrier — message *counters* stay per-replica and exact, and
-  /// the bit totals are order-invariant, so accounting is unchanged.
+  /// Routes every channel charge (control messages, invalidation sends) to
+  /// `sink`. The cell gives each shard its own registry replica with a sink
+  /// that logs (bits, class) records for chronologically-merged replay onto
+  /// the real channel at the interval barrier — message *counters* stay
+  /// per-replica and exact, and the bit totals are order-invariant.
   void SetTransmitSink(std::function<void(uint64_t, TrafficClass)> sink) {
     transmit_sink_ = std::move(sink);
   }
@@ -93,11 +91,10 @@ class StatefulRegistry {
   };
 
   void ChargeControlMessage();
-  /// Routes one charge to the sink if set, else the channel if set.
+  /// Routes one charge to the transmit sink.
   void TransmitBits(uint64_t bits, TrafficClass cls);
 
   StatefulMode mode_;
-  Channel* channel_;
   MessageSizes sizes_;
   std::function<void(uint64_t, TrafficClass)> transmit_sink_;
   std::vector<ClientRecord> clients_;

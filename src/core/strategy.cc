@@ -4,10 +4,10 @@
 
 namespace mobicache {
 
-Report ServerStrategy::MaterializeQuiet(SimTime /*now*/,
-                                        uint64_t /*interval*/) {
-  assert(false && "MaterializeQuiet without a preceding AdvanceQuiet");
-  return Report{};
+void ServerStrategy::MaterializeQuietInto(SimTime /*now*/,
+                                          uint64_t /*interval*/,
+                                          Report* /*out*/) {
+  assert(false && "MaterializeQuietInto without a preceding AdvanceQuiet");
 }
 
 std::string_view StrategyName(StrategyKind kind) {

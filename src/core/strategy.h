@@ -92,7 +92,7 @@ class ServerStrategy {
   /// without materializing the report. On success writes the report's exact
   /// airtime size (per ReportSizeBits with `sizes`) to `*bits` and returns
   /// true; the interval is then consumed (the next build continues from it)
-  /// and MaterializeQuiet() can still reconstruct its report. Returns false
+  /// and MaterializeQuietInto() can still reconstruct its report. Returns false
   /// when the strategy has no advance cheaper than a full build (e.g. the
   /// adaptive controller, whose reevaluation clock rides on BuildReport);
   /// the server then falls back to building without delivering.
@@ -105,13 +105,15 @@ class ServerStrategy {
     return false;
   }
 
-  /// Reconstructs the report of the interval most recently consumed by a
-  /// successful AdvanceQuiet, with the same (now, interval) arguments. The
-  /// server needs this only in the rare straddle case where a unit's wake
-  /// lands while the elided report would still be on the air. Must not be
-  /// called otherwise; the default (for strategies that never return true
-  /// from AdvanceQuiet) aborts in debug builds.
-  virtual Report MaterializeQuiet(SimTime now, uint64_t interval);
+  /// Reconstructs, into `*out` (reusing its storage like BuildReportInto),
+  /// the report of the interval most recently consumed by a successful
+  /// AdvanceQuiet, with the same (now, interval) arguments. The server needs
+  /// this only in the straddle case where a unit's wake may land while the
+  /// elided report would still be on the air. Must not be called otherwise;
+  /// the default (for strategies that never return true from AdvanceQuiet)
+  /// aborts in debug builds.
+  virtual void MaterializeQuietInto(SimTime now, uint64_t interval,
+                                    Report* out);
 
   /// Called once before the broadcast schedule starts. Strategies that
   /// maintain state incrementally (e.g. SIG's combined signatures) register

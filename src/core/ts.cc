@@ -68,6 +68,11 @@ Report TsServerStrategy::BuildReport(SimTime now, uint64_t interval) {
 void TsServerStrategy::BuildReportInto(SimTime now, uint64_t interval,
                                        Report* out) {
   AdvanceEntries(now, interval);
+  FillReport(now, interval, out);
+}
+
+void TsServerStrategy::FillReport(SimTime now, uint64_t interval,
+                                  Report* out) const {
   TsReport* ts = std::get_if<TsReport>(out);
   // Variant switch happens on the first broadcast only. detlint:allow(alloc-event-path)
   if (ts == nullptr) ts = &out->emplace<TsReport>();
@@ -88,14 +93,10 @@ bool TsServerStrategy::AdvanceQuiet(SimTime now, uint64_t interval,
   return true;
 }
 
-Report TsServerStrategy::MaterializeQuiet(SimTime now, uint64_t interval) {
+void TsServerStrategy::MaterializeQuietInto(SimTime now, uint64_t interval,
+                                           Report* out) {
   assert(have_prev_ && prev_interval_ == interval && prev_now_ == now);
-  TsReport report;
-  report.interval = interval;
-  report.timestamp = now;
-  report.window = window_;
-  report.entries = prev_entries_;
-  return report;
+  FillReport(now, interval, out);
 }
 
 TsClientManager::TsClientManager(uint64_t window_intervals)

@@ -28,7 +28,8 @@ class TsServerStrategy : public ServerStrategy {
   void BuildReportInto(SimTime now, uint64_t interval, Report* out) override;
   bool AdvanceQuiet(SimTime now, uint64_t interval, const MessageSizes& sizes,
                     uint64_t* bits) override;
-  Report MaterializeQuiet(SimTime now, uint64_t interval) override;
+  void MaterializeQuietInto(SimTime now, uint64_t interval,
+                            Report* out) override;
   SimTime JournalHorizonSeconds() const override { return window_; }
 
   SimTime window() const { return window_; }
@@ -40,6 +41,9 @@ class TsServerStrategy : public ServerStrategy {
   /// splice the one-interval delta — through `next_scratch_`, so the quiet
   /// path costs the same merge with no report materialization.
   void AdvanceEntries(SimTime now, uint64_t interval);
+  /// Writes the report of the advanced window into `*out`, reusing its
+  /// storage when it already holds a TS report.
+  void FillReport(SimTime now, uint64_t interval, Report* out) const;
 
   const Database* db_;
   SimTime latency_;

@@ -563,8 +563,13 @@ uint64_t Database::VersionAt(ItemId id, SimTime t) const {
   assert(journal_enabled_ && "historical read against a disabled journal");
   uint64_t after = 0;
   // Updates strictly after t are still in the journal (caller's contract).
-  for (const Bucket& bucket : buckets_) {
-    if (!bucket.HasEntries() || bucket.LastTime() <= t) continue;
+  // Buckets are time-ordered: walk back from the newest and stop at the
+  // first one that ends at or before t — the cell's uplink reads the
+  // current interval, so this usually touches one bucket.
+  for (const Bucket* it = buckets_.end(); it != buckets_.begin();) {
+    const Bucket& bucket = *--it;
+    if (!bucket.HasEntries()) continue;
+    if (bucket.LastTime() <= t) break;
     assert(!bucket.digest_only &&
            "historical read into an elided bucket (per-id multiplicity was "
            "not retained)");

@@ -9,8 +9,8 @@
 //  * Per-event (default): every update is its own scheduled event
 //    (ScheduleNext/Fire), interleaved with the rest of the simulation. This
 //    is required when an update observer has simulation side effects at the
-//    update instant (the stateful-server invalidation push, the async
-//    broadcaster, MegaCell's update trace).
+//    update instant: the cell's update trace, which the stateful-server
+//    invalidation push and the asynchronous broadcast replay per shard.
 //  * Batched (EnableBatchMode): the generator holds the predrawn next
 //    (time, item) pair and GenerateIntervalUpdates drains everything due
 //    before a pump point in one tight loop through
@@ -93,7 +93,7 @@ class UpdateGenerator {
   uint64_t batched_updates_applied() const { return batched_applied_; }
 
   /// Wall time spent inside GenerateIntervalUpdates over the whole run
-  /// (diagnostic, like Server::broadcast_wall_seconds). Always 0 in
+  /// (diagnostic, like the cell's phase walls). Always 0 in
   /// per-event mode, where update application is indistinguishable from
   /// scheduler time.
   double update_wall_seconds() const { return update_wall_seconds_; }

@@ -1,41 +1,186 @@
 #include "exp/cell.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
-#include <cmath>
+#include <chrono>
 #include <utility>
 
+#include "exp/megacell.h"
 #include "exp/strategy_factory.h"
+#include "mu/hot_state.h"
 #include "mu/hotspot.h"
 #include "mu/sleep_model.h"
+#include "mu/wake_index.h"
 #include "util/random.h"
 
 namespace mobicache {
 
-Cell::Cell(CellConfig config) : config_(std::move(config)) {}
+namespace {
+using WallClock = std::chrono::steady_clock;
+
+double SecondsSince(WallClock::time_point t0) {
+  return std::chrono::duration<double>(WallClock::now() - t0).count();
+}
+}  // namespace
+
+/// One shard: a private simulator, a contiguous slice of the unit
+/// population with its SoA hot state, per-shard replicas of the components
+/// that are not safe (or not meaningful) to share across threads, and the
+/// chronological log the barrier replays.
+struct Cell::Shard {
+  /// One logged server interaction. Appended at shard-simulation-time order
+  /// (the shard clock is monotonic), so the log is sorted by time.
+  struct LogRecord {
+    enum Kind : uint8_t { kUplink, kTransmit };
+    SimTime time = 0.0;
+    Kind kind = kUplink;
+    UplinkQueryInfo info;        ///< kUplink.
+    uint64_t bits = 0;           ///< kTransmit.
+    TrafficClass cls = TrafficClass::kReport;  ///< kTransmit.
+  };
+
+  /// Shard-side uplink: answers from the (shard-phase-quiescent) database
+  /// at the shard's own clock and logs the query for barrier replay. The
+  /// value is the one at the fetch instant under kFullWindow retention and
+  /// the one at the window cut otherwise (see the header's uplink note).
+  struct Uplink final : UplinkService {
+    Uplink(Shard* owner, const Database* database)
+        : shard(owner), db(database) {}
+    FetchResult FetchItem(const UplinkQueryInfo& info) override {
+      const SimTime now = shard->sim.Now();
+      LogRecord rec;
+      rec.time = now;
+      rec.kind = LogRecord::kUplink;
+      rec.info = info;
+      // Per-window shard log, cleared at the barrier with capacity
+      // retained. detlint:allow(alloc-event-path)
+      shard->log.push_back(std::move(rec));
+      // Only an item updated between the fetch instant and the window cut
+      // needs the journal walk; for any other the current value is the
+      // fetch-instant value.
+      const uint64_t value =
+          db->retention() == JournalRetention::kFullWindow &&
+                  db->LastUpdateOf(info.id) > now
+              ? db->ValueAt(info.id, now)
+              : db->ValueOf(info.id);
+      return FetchResult{value, now};
+    }
+    Shard* shard;
+    const Database* db;
+  };
+
+  explicit Shard(const Database* db) : uplink(this, db) {}
+
+  void LogTransmit(uint64_t bits, TrafficClass cls) {
+    LogRecord rec;
+    rec.time = sim.Now();
+    rec.kind = LogRecord::kTransmit;
+    rec.bits = bits;
+    rec.cls = cls;
+    log.push_back(std::move(rec));
+  }
+
+  /// Delivers one report to the slice by walking the awake bitmap in
+  /// ascending local index. Sleepers are never visited; their missed counts
+  /// are settled at harvest time as deliveries_completed - heard (see
+  /// Cell::UnitStats). Returns how many units heard it — the barrier sums
+  /// the counts across shards into the quiet-interval counter.
+  uint64_t FanOut(const Report& report, double listen_seconds) {
+    uint64_t heard = 0;
+    const std::vector<uint64_t>& words = wake_index.awake_words();
+    for (size_t w = 0; w < words.size(); ++w) {
+      uint64_t word = words[w];
+      while (word != 0) {
+        const size_t i =
+            w * 64 + static_cast<size_t>(std::countr_zero(word));
+        word &= word - 1;
+        ++heard;
+        ++soa.reports_heard[i];
+        soa.listen_seconds[i] += listen_seconds;
+        // Immediate-answer units pay the listen cost but ignore the report.
+        if (!immediate) units[i]->OnReportDelivery(report);
+      }
+    }
+    return heard;
+  }
+
+  /// Asynchronous-mode invalidation fan-out: one update's broadcast message
+  /// reaches this slice's awake units (the channel charge is replayed once
+  /// at the barrier).
+  void PushInvalidateAwake(ItemId id) {
+    const std::vector<uint64_t>& words = wake_index.awake_words();
+    for (size_t w = 0; w < words.size(); ++w) {
+      uint64_t word = words[w];
+      while (word != 0) {
+        const size_t i =
+            w * 64 + static_cast<size_t>(std::countr_zero(word));
+        word &= word - 1;
+        units[i]->PushInvalidate(id);
+        ++async_deliveries;
+      }
+    }
+  }
+
+  Simulator sim;
+  MuHotSoA soa;
+  /// Stateful and asynchronous baselines answer on arrival (every unit of
+  /// a cell runs the same strategy).
+  bool immediate = false;
+  /// Awake bitmap + wake horizon for this slice. Units publish transitions
+  /// at their shard-phase ticks; the (serial) server phase reads every
+  /// shard's index for the elision check — the phases never overlap.
+  WakeIndex wake_index;
+  std::vector<std::unique_ptr<MobileUnit>> units;
+  /// SIG strategies: deterministic per-shard replica of the signature
+  /// family (its subset-expansion memo is not thread-safe to share).
+  std::unique_ptr<SignatureFamily> family;
+  /// Stateful baselines: per-shard registry replica over this slice's
+  /// clients (channel charges routed into the log via the transmit sink).
+  std::unique_ptr<StatefulRegistry> registry;
+  Uplink uplink;
+  std::vector<LogRecord> log;
+  /// Units heard per pending delivery this window (index-aligned with
+  /// Cell::pending_deliveries_; sized in the shard phase, summed at the
+  /// barrier).
+  std::vector<uint64_t> delivery_heard;
+  uint64_t async_deliveries = 0;
+  double wall_seconds = 0.0;
+};
+
+Cell::Cell(CellConfig config, uint32_t num_shards)
+    : config_(std::move(config)), num_shards_(num_shards) {}
+
+Cell::Cell(MegaCellConfig config)
+    : Cell(std::move(config.cell), config.num_shards) {}
 
 Cell::~Cell() {
-  // The database's update observers may reference the registry or the
-  // server strategy; detach them all first.
+  // The database's update observers reference this object's trace buffer
+  // and the server strategy; detach them before members are torn down.
   if (db_ != nullptr) {
     db_->SetUpdateObserver(nullptr);
     db_->ClearExtraObservers();
   }
 }
 
-std::vector<MobileUnit*> Cell::units() {
-  std::vector<MobileUnit*> out;
-  out.reserve(units_.size());
-  for (auto& u : units_) out.push_back(u.get());
-  return out;
-}
-
 Status Cell::Build() {
   if (built_) return Status::FailedPrecondition("cell already built");
   MOBICACHE_RETURN_IF_ERROR(NormalizeCellConfig(&config_));
-  const ModelParams& m = config_.model;
+  if (num_shards_ == 0) {
+    return Status::InvalidArgument("num_shards must be >= 1");
+  }
+  if (num_shards_ > config_.num_units) {
+    return Status::InvalidArgument(
+        "num_shards must not exceed num_units (empty shards would change "
+        "nothing but waste threads)");
+  }
+  const CellConfig& cc = config_;
+  const ModelParams& m = cc.model;
   sizes_ = ComputeMessageSizes(m);
 
-  uint64_t seed_state = config_.seed;
+  // Seed chain: per-unit seeds are drawn in *global* unit order below, so
+  // every RNG stream is independent of the shard count.
+  uint64_t seed_state = cc.seed;
   const uint64_t db_seed = SplitMix64(&seed_state);
   const uint64_t update_seed = SplitMix64(&seed_state);
   const uint64_t family_seed = SplitMix64(&seed_state);
@@ -43,123 +188,401 @@ Status Cell::Build() {
   const uint64_t hotspot_seed = SplitMix64(&seed_state);
 
   sim_ = std::make_unique<Simulator>();
-  // One ticker + at most one pending arrival per unit, plus the
-  // server/update machinery: pre-size so a 10^6-unit cell never reallocates
-  // its heap or slot slab mid-run.
-  sim_->Reserve(2 * config_.num_units + 16);
+  sim_->Reserve(1024);
   db_ = std::make_unique<Database>(m.n, db_seed);
-  // Journal retention is strategy-declared now: Server::Start arms the
-  // database with ServerStrategy::retention() (kNone for no-caching,
-  // kDigestOnly for SIG/hybrid, full raw buckets otherwise).
-  if (config_.update_rates.empty()) {
+  // Journal retention is armed by Server::Start from the strategy's
+  // declaration (kNone for no-caching, kDigestOnly for SIG/hybrid, full raw
+  // buckets otherwise), possibly raised by Run's answer-observer floor.
+  if (cc.update_rates.empty()) {
     updates_ = std::make_unique<UpdateGenerator>(sim_.get(), db_.get(), m.mu,
                                                  update_seed);
   } else {
     updates_ = std::make_unique<UpdateGenerator>(
-        sim_.get(), db_.get(), config_.update_rates, update_seed);
+        sim_.get(), db_.get(), cc.update_rates, update_seed);
   }
   channel_ = std::make_unique<Channel>(sim_.get(), m.W);
   delivery_ = std::make_unique<DeliveryModel>(
-      config_.delivery, config_.mean_jitter_seconds, delivery_seed);
+      cc.delivery, cc.mean_jitter_seconds, delivery_seed);
+  family_ = MakeSignatureFamilyForCell(cc, family_seed);
+  walk_ = MakeNumericWalkForCell(cc, db_seed);
 
-  family_ = MakeSignatureFamilyForCell(config_, family_seed);
-  walk_ = MakeNumericWalkForCell(config_, db_seed);
-  const bool stateful = config_.strategy == StrategyKind::kIdeal ||
-                        config_.strategy == StrategyKind::kStateful;
-  const bool async = config_.strategy == StrategyKind::kAsync;
-  if (stateful) {
-    const StatefulMode mode = config_.strategy == StrategyKind::kIdeal
-                                  ? StatefulMode::kIdeal
-                                  : StatefulMode::kStateful;
-    registry_ =
-        std::make_unique<StatefulRegistry>(mode, channel_.get(), sizes_);
+  stateful_mode_ = cc.strategy == StrategyKind::kIdeal ||
+                   cc.strategy == StrategyKind::kStateful;
+  async_mode_ = cc.strategy == StrategyKind::kAsync;
+  trace_updates_ = stateful_mode_ || async_mode_;
+  if (trace_updates_) {
     db_->SetUpdateObserver([this](ItemId id, SimTime t) {
-      registry_->OnUpdate(id, t);
-    });
-  }
-  if (async) {
-    async_ = std::make_unique<AsyncBroadcaster>(sim_.get(), channel_.get(),
-                                                sizes_);
-    db_->SetUpdateObserver([this](ItemId id, SimTime t) {
-      async_->OnUpdate(id, t);
+      update_trace_.push_back(TraceRecord{t, id});
     });
   }
 
-  StrategyFactoryContext ctx;
-  ctx.config = &config_;
-  ctx.sizes = sizes_;
-  ctx.db = db_.get();
-  ctx.family = family_.get();
-  ctx.walk = walk_.get();
+  StrategyFactoryContext server_ctx;
+  server_ctx.config = &config_;
+  server_ctx.sizes = sizes_;
+  server_ctx.db = db_.get();
+  server_ctx.family = family_.get();
+  server_ctx.walk = walk_.get();
 
   ServerConfig sc;
   sc.latency = m.L;
   sc.sizes = sizes_;
-  sc.quiet_elision = config_.quiet_elision;
+  sc.quiet_elision = cc.quiet_elision;
   server_ = std::make_unique<Server>(sim_.get(), db_.get(), channel_.get(),
-                                     MakeServerStrategy(ctx), delivery_.get(),
-                                     sc);
-  wake_index_.Resize(config_.num_units);
-  server_->AttachWakeIndex(&wake_index_);
-  if (!stateful && !async) {
-    // Stateful and async modes install update observers with simulation
-    // side effects at the update instant (registry invalidation pushes,
-    // async broadcast events), so their updates must stay interleaved
-    // per-event. Every other strategy only *reads* database state, and
-    // every read site is a pump point — the update stream can drain in
-    // batches with an identical observable trajectory.
+                                     MakeServerStrategy(server_ctx),
+                                     delivery_.get(), sc);
+  server_->SetDeliverySink([this](Server::ReportDelivery d) {
+    pending_deliveries_.push_back(std::move(d));
+  });
+  if (!trace_updates_) {
+    // The stateful/async baselines consume a per-event update trace (their
+    // registry invalidations and async broadcasts happen at the update
+    // instant); every other strategy only reads database state at pump
+    // points, so the update stream drains in batches. The window barrier
+    // adds one pump so shards read a database advanced exactly to the cut.
     updates_->EnableBatchMode();
     server_->SetUpdatePump(updates_.get());
   }
 
+  // Contiguous partition: shard s holds global units
+  // [shard_offset_[s], shard_offset_[s + 1]), the first `rem` shards one
+  // unit larger. Contiguity is what makes (time, shard) replay order equal
+  // the global unit order at equal times.
+  const uint64_t num_shards = num_shards_;
+  const uint64_t base = cc.num_units / num_shards;
+  const uint64_t rem = cc.num_units % num_shards;
+  shard_offset_.assign(num_shards + 1, 0);
+  for (uint64_t s = 0; s < num_shards; ++s) {
+    shard_offset_[s + 1] = shard_offset_[s] + base + (s < rem ? 1 : 0);
+  }
+
+  const StatefulMode mode = cc.strategy == StrategyKind::kIdeal
+                                ? StatefulMode::kIdeal
+                                : StatefulMode::kStateful;
+  const bool sig_strategy = family_ != nullptr;
+  shards_.reserve(num_shards);
+  for (uint64_t s = 0; s < num_shards; ++s) {
+    auto shard = std::make_unique<Shard>(db_.get());
+    const uint64_t count = shard_offset_[s + 1] - shard_offset_[s];
+    shard->soa.Resize(count);
+    shard->immediate = stateful_mode_ || async_mode_;
+    shard->wake_index.Resize(count);
+    // The server aggregates the shards' indexes for the wake-horizon check
+    // only — fan-out happens shard-side through the delivery sink.
+    server_->AttachWakeIndex(&shard->wake_index);
+    shard->units.reserve(count);
+    shard->sim.Reserve(2 * count + 1024);
+    if (sig_strategy) {
+      shard->family = MakeSignatureFamilyForCell(cc, family_seed);
+    }
+    if (stateful_mode_) {
+      shard->registry = std::make_unique<StatefulRegistry>(mode, sizes_);
+      Shard* raw = shard.get();
+      shard->registry->SetTransmitSink(
+          [raw](uint64_t bits, TrafficClass cls) {
+            raw->LogTransmit(bits, cls);
+          });
+    }
+    shards_.push_back(std::move(shard));
+  }
+
   Rng hotspot_rng(hotspot_seed);
   const std::vector<ItemId> shared =
-      ContiguousHotSpot(m.n, 0, config_.hotspot_size);
-  for (uint64_t i = 0; i < config_.num_units; ++i) {
+      ContiguousHotSpot(m.n, 0, cc.hotspot_size);
+  uint64_t s = 0;
+  for (uint64_t i = 0; i < cc.num_units; ++i) {
+    while (i >= shard_offset_[s + 1]) ++s;
+    Shard& sh = *shards_[s];
+    const uint32_t local = static_cast<uint32_t>(i - shard_offset_[s]);
+
     const std::vector<ItemId> hotspot =
-        !config_.custom_hotspots.empty()
-            ? config_.custom_hotspots[i]
-            : (config_.shared_hotspot
+        !cc.custom_hotspots.empty()
+            ? cc.custom_hotspots[i]
+            : (cc.shared_hotspot
                    ? shared
-                   : RandomHotSpot(m.n, config_.hotspot_size, hotspot_rng));
+                   : RandomHotSpot(m.n, cc.hotspot_size, hotspot_rng));
 
     MobileUnitConfig mc;
     mc.latency = m.L;
     mc.lambda_per_item = m.lambda;
     mc.hotspot = hotspot;
-    mc.answer_immediately = stateful || async;
-    mc.cache_capacity = config_.cache_capacity;
+    mc.answer_immediately = stateful_mode_ || async_mode_;
+    mc.cache_capacity = cc.cache_capacity;
     mc.unit_id = static_cast<uint32_t>(i);
-    mc.query_zipf_theta = config_.query_zipf_theta;
+    mc.query_zipf_theta = cc.query_zipf_theta;
 
     std::unique_ptr<SleepModel> sleep;
     const uint64_t mu_seed = SplitMix64(&seed_state);
-    if (config_.renewal_sleep) {
+    if (cc.renewal_sleep) {
       sleep = std::make_unique<RenewalSleepModel>(
-          m.L, config_.mean_awake_seconds, config_.mean_sleep_seconds,
+          m.L, cc.mean_awake_seconds, cc.mean_sleep_seconds,
           mu_seed ^ 0x9e3779b9);
     } else {
-      sleep = std::make_unique<BernoulliSleepModel>(m.s, mu_seed ^ 0x9e3779b9);
+      sleep = std::make_unique<BernoulliSleepModel>(m.s,
+                                                    mu_seed ^ 0x9e3779b9);
     }
+
+    StrategyFactoryContext shard_ctx;
+    shard_ctx.config = &config_;
+    shard_ctx.sizes = sizes_;
+    shard_ctx.db = db_.get();
+    shard_ctx.family = sig_strategy ? sh.family.get() : nullptr;
+    shard_ctx.walk = walk_.get();
 
     auto unit = std::make_unique<MobileUnit>(
-        sim_.get(), std::move(mc), MakeClientManager(ctx, hotspot),
-        std::move(sleep), server_.get(), mu_seed);
-    if (stateful) {
-      unit->BindStatefulRegistry(
-          registry_.get(), config_.strategy == StrategyKind::kStateful);
+        &sh.sim, std::move(mc), MakeClientManager(shard_ctx, hotspot),
+        std::move(sleep), &sh.uplink, mu_seed);
+    if (stateful_mode_) {
+      unit->BindStatefulRegistry(sh.registry.get(),
+                                 cc.strategy == StrategyKind::kStateful);
     }
-    if (async) {
-      unit->SetDropCacheOnWake(true);
-      async_->AttachUnit(unit.get());
-    }
-    unit->BindWakeIndex(&wake_index_, static_cast<uint32_t>(i));
-    server_->AttachUnit(unit.get());
-    units_.push_back(std::move(unit));
+    if (async_mode_) unit->SetDropCacheOnWake(true);
+    unit->BindWakeIndex(&sh.wake_index, local);
+    sh.units.push_back(std::move(unit));
   }
 
+  gang_ = std::make_unique<LockstepGang>(
+      static_cast<unsigned>(num_shards_));
   built_ = true;
   return Status::OK();
+}
+
+void Cell::ReplayWindow() {
+  // Quiet-interval accounting: a delivery was quiet when no shard's slice
+  // heard it. A null report is an elided quiet interval — the server proved
+  // every unit sleeps through it, so it is both quiet and skipped. (The
+  // server's own counters stay zero in sharded mode — the delivery sink
+  // bypasses its fan-out.)
+  for (size_t k = 0; k < pending_deliveries_.size(); ++k) {
+    if (pending_deliveries_[k].report == nullptr) {
+      ++quiet_report_intervals_;
+      ++quiet_skipped_intervals_;
+      continue;
+    }
+    uint64_t heard = 0;
+    for (const auto& shard : shards_) heard += shard->delivery_heard[k];
+    if (heard == 0) ++quiet_report_intervals_;
+  }
+  deliveries_completed_ += pending_deliveries_.size();
+
+  // K-way merge of the per-shard logs (each already time-sorted) plus, in
+  // asynchronous mode, the update trace (each update is one id-sized
+  // broadcast message). Ties break toward the trace, then lower shard — at
+  // equal times the contiguous partition makes that exactly the global unit
+  // order, so the replay is the same at every shard count.
+  //
+  // The selector is a loser tree over source ranks: rank 0 is the trace and
+  // higher ranks are shard-ordered, so the tree's (key, rank) order IS the
+  // replay contract. With >= 4 shards the gang first merges adjacent shard
+  // pairs in parallel (pair p = shards {2p, 2p+1}; in-pair ties take the
+  // lower shard), and the serial tree runs over pairs instead of shards —
+  // same total order, half the serial comparisons.
+  const size_t num_shards = shards_.size();
+  const auto consume = [this](const Shard::LogRecord& rec) {
+    if (rec.kind == Shard::LogRecord::kUplink) {
+      server_->AccountUplinkQuery(rec.info);
+    } else {
+      channel_->Transmit(rec.bits, rec.cls);
+    }
+  };
+  const auto consume_trace = [this] {
+    channel_->Transmit(sizes_.id_bits, TrafficClass::kReport);
+    ++async_messages_;
+  };
+  const size_t trace_end = async_mode_ ? update_trace_.size() : 0;
+  size_t trace_head = 0;
+
+  if (num_shards >= 4) {
+    // Parallel pairwise pre-merge on the gang lanes: lane p two-pointer
+    // merges shards 2p and 2p+1 into a reused reference buffer.
+    const size_t num_pairs = (num_shards + 1) / 2;
+    if (premerged_.size() < num_pairs) premerged_.resize(num_pairs);
+    gang_->Run([this](unsigned lane) {
+      const size_t num_sh = shards_.size();
+      const size_t a = 2 * static_cast<size_t>(lane);
+      if (a >= num_sh) return;
+      const size_t b = a + 1;
+      const std::vector<Shard::LogRecord>& la = shards_[a]->log;
+      const bool has_b = b < num_sh;
+      const std::vector<Shard::LogRecord>& lb =
+          has_b ? shards_[b]->log : la;
+      std::vector<MergedRef>& out = premerged_[lane];
+      out.clear();
+      out.reserve(la.size() + (has_b ? lb.size() : 0));
+      size_t i = 0;
+      size_t j = has_b ? 0 : lb.size();
+      while (i < la.size() && j < lb.size()) {
+        // Ties take shard a — the lower shard index.
+        if (la[i].time <= lb[j].time) {
+          out.push_back(MergedRef{la[i].time, static_cast<uint32_t>(a),
+                                  static_cast<uint32_t>(i)});
+          ++i;
+        } else {
+          out.push_back(MergedRef{lb[j].time, static_cast<uint32_t>(b),
+                                  static_cast<uint32_t>(j)});
+          ++j;
+        }
+      }
+      for (; i < la.size(); ++i) {
+        out.push_back(MergedRef{la[i].time, static_cast<uint32_t>(a),
+                                static_cast<uint32_t>(i)});
+      }
+      if (has_b) {
+        for (; j < lb.size(); ++j) {
+          out.push_back(MergedRef{lb[j].time, static_cast<uint32_t>(b),
+                                  static_cast<uint32_t>(j)});
+        }
+      }
+    });
+
+    merger_.Reset(num_pairs + 1);
+    if (trace_end > 0) merger_.SetHead(0, update_trace_[0].time);
+    replay_heads_.assign(num_pairs, 0);
+    for (size_t p = 0; p < num_pairs; ++p) {
+      if (!premerged_[p].empty()) merger_.SetHead(p + 1, premerged_[p][0].time);
+    }
+    merger_.Build();
+    while (!merger_.exhausted()) {
+      const size_t rank = merger_.top();
+      if (rank == 0) {
+        consume_trace();
+        ++trace_head;
+        merger_.Advance(trace_head < trace_end
+                            ? update_trace_[trace_head].time
+                            : LoserTreeMerger::kExhausted);
+      } else {
+        const std::vector<MergedRef>& refs = premerged_[rank - 1];
+        const size_t h = replay_heads_[rank - 1]++;
+        const MergedRef& ref = refs[h];
+        consume(shards_[ref.shard]->log[ref.index]);
+        merger_.Advance(h + 1 < refs.size() ? refs[h + 1].time
+                                            : LoserTreeMerger::kExhausted);
+      }
+      ++replay_records_;
+    }
+  } else {
+    merger_.Reset(num_shards + 1);
+    if (trace_end > 0) merger_.SetHead(0, update_trace_[0].time);
+    replay_heads_.assign(num_shards, 0);
+    for (size_t s = 0; s < num_shards; ++s) {
+      if (!shards_[s]->log.empty()) {
+        merger_.SetHead(s + 1, shards_[s]->log[0].time);
+      }
+    }
+    merger_.Build();
+    while (!merger_.exhausted()) {
+      const size_t rank = merger_.top();
+      if (rank == 0) {
+        consume_trace();
+        ++trace_head;
+        merger_.Advance(trace_head < trace_end
+                            ? update_trace_[trace_head].time
+                            : LoserTreeMerger::kExhausted);
+      } else {
+        const std::vector<Shard::LogRecord>& log = shards_[rank - 1]->log;
+        const size_t h = replay_heads_[rank - 1]++;
+        consume(log[h]);
+        merger_.Advance(h + 1 < log.size() ? log[h + 1].time
+                                           : LoserTreeMerger::kExhausted);
+      }
+      ++replay_records_;
+    }
+  }
+
+  for (auto& shard : shards_) shard->log.clear();
+  update_trace_.clear();
+  pending_deliveries_.clear();
+}
+
+void Cell::AdvanceWindow(SimTime cut, bool inclusive) {
+  // Server phase: broadcast ticks, update stream, delivery completions.
+  // Exclusive cuts leave the boundary's own events (the next tick wave) to
+  // the following window, so replayed uplinks with time < T_i reach the
+  // strategy before the T_i report is built.
+  WallClock::time_point t0 = WallClock::now();
+  if (inclusive) {
+    sim_->RunUntil(cut);
+  } else {
+    sim_->RunUntilBefore(cut);
+  }
+  // The shard phase answers uplinks from the quiescent database; drain the
+  // batched update stream to the cut (matching inclusivity) so it holds
+  // exactly the state the per-event engine would have reached.
+  updates_->GenerateIntervalUpdates(cut, inclusive);
+  server_wall_seconds_ += SecondsSince(t0);
+
+  // Shard phase: one lane per shard, pinned (lane == shard index). The
+  // delivery sink only fires inside server events, so every pending
+  // delivery's completion time lies in this window — each shard replays all
+  // of them plus the update trace, then advances to the same cut. The
+  // window bounds travel via members so the gang closure captures only
+  // `this` (fits std::function's inline buffer — no per-window allocation).
+  window_cut_ = cut;
+  window_inclusive_ = inclusive;
+  t0 = WallClock::now();
+  gang_->Run([this](unsigned lane) {
+    Shard& sh = *shards_[lane];
+    const WallClock::time_point s0 = WallClock::now();
+    const size_t deliveries = pending_deliveries_.size();
+    if (sh.delivery_heard.size() < deliveries) {
+      sh.delivery_heard.resize(deliveries);
+    }
+    std::fill_n(sh.delivery_heard.begin(),
+                static_cast<ptrdiff_t>(deliveries), 0);
+    for (size_t k = 0; k < deliveries; ++k) {
+      // Pointer capture: pending_deliveries_ is frozen for the whole shard
+      // phase, and a by-value ReportDelivery capture would copy its
+      // shared_ptr (two refcount RMWs per shard per delivery).
+      const Server::ReportDelivery* d = &pending_deliveries_[k];
+      // Elided quiet interval: no unit anywhere can hear it, so there is
+      // nothing to schedule (delivery_heard[k] stays 0).
+      if (d->report == nullptr) continue;
+      Shard* raw = &sh;
+      sh.sim.ScheduleAt(d->done, [raw, d, k] {
+        raw->delivery_heard[k] = raw->FanOut(*d->report, d->listen_seconds);
+      });
+    }
+    if (trace_updates_) {
+      for (const TraceRecord& u : update_trace_) {
+        Shard* raw = &sh;
+        if (stateful_mode_) {
+          sh.sim.ScheduleAt(u.time, [raw, u] {
+            raw->registry->OnUpdate(u.id, u.time);
+          });
+        } else {
+          sh.sim.ScheduleAt(u.time, [raw, id = u.id] {
+            raw->PushInvalidateAwake(id);
+          });
+        }
+      }
+    }
+    if (window_inclusive_) {
+      sh.sim.RunUntil(window_cut_);
+    } else {
+      sh.sim.RunUntilBefore(window_cut_);
+    }
+    sh.wall_seconds += SecondsSince(s0);
+  });
+  shard_phase_wall_seconds_ += SecondsSince(t0);
+
+  // Barrier: replay the merged shard logs onto the server and channel.
+  t0 = WallClock::now();
+  ReplayWindow();
+  replay_wall_seconds_ += SecondsSince(t0);
+}
+
+void Cell::ResetAllStats() {
+  server_->ResetStats();
+  channel_->ResetStats();
+  async_messages_ = 0;
+  quiet_report_intervals_ = 0;
+  quiet_skipped_intervals_ = 0;
+  deliveries_completed_ = 0;
+  for (auto& shard : shards_) {
+    if (shard->registry != nullptr) shard->registry->ResetStats();
+    shard->async_deliveries = 0;
+    for (auto& unit : shard->units) unit->ResetStats();
+    shard->soa.ResetStats();
+  }
 }
 
 Status Cell::Run(uint64_t warmup_intervals, uint64_t measure_intervals) {
@@ -170,51 +593,93 @@ Status Cell::Run(uint64_t warmup_intervals, uint64_t measure_intervals) {
   }
 
   MOBICACHE_RETURN_IF_ERROR(updates_->Start());
-  // Units start before the server so each unit's sleep decision for an
-  // interval is made before that interval's report can be delivered.
-  for (auto& unit : units_) {
-    MOBICACHE_RETURN_IF_ERROR(unit->Start());
-  }
-  // Answer observers audit answered values against historical ground truth
-  // (ValueAt), which needs raw journal entries no matter how little the
-  // strategy itself retains.
-  for (const auto& unit : units_) {
-    if (unit->has_answer_observer()) {
-      server_->SetRetentionFloor(JournalRetention::kFullWindow);
-      break;
+  // Units start before the server: each unit's sleep decision for an
+  // interval precedes that interval's report delivery.
+  for (auto& shard : shards_) {
+    for (auto& unit : shard->units) {
+      MOBICACHE_RETURN_IF_ERROR(unit->Start());
+      // Answer observers audit answered values against historical ground
+      // truth (ValueAt), which needs raw journal entries no matter how
+      // little the strategy itself retains — and it makes the uplink serve
+      // fetch-instant values, the ones such an audit expects.
+      if (unit->has_answer_observer()) {
+        server_->SetRetentionFloor(JournalRetention::kFullWindow);
+      }
     }
   }
   MOBICACHE_RETURN_IF_ERROR(server_->Start());
 
   const double L = config_.model.L;
-  // End runs just shy of an interval boundary so exactly the intended number
-  // of reports falls inside each phase.
   const SimTime warmup_end =
       static_cast<double>(warmup_intervals) * L + 0.5 * L;
-  sim_->RunUntil(warmup_end);
-  server_->ResetStats();
-  channel_->ResetStats();
-  if (registry_ != nullptr) registry_->ResetStats();
-  if (async_ != nullptr) async_->ResetStats();
-  for (auto& unit : units_) unit->ResetStats();
+  const SimTime end =
+      warmup_end + static_cast<double>(measure_intervals) * L;
 
-  sim_->RunUntil(warmup_end + static_cast<double>(measure_intervals) * L);
+  for (uint64_t w = 1; w <= warmup_intervals; ++w) {
+    AdvanceWindow(static_cast<double>(w) * L, /*inclusive=*/false);
+  }
+  AdvanceWindow(warmup_end, /*inclusive=*/true);
+  ResetAllStats();
+  for (uint64_t w = warmup_intervals + 1;
+       w <= warmup_intervals + measure_intervals; ++w) {
+    AdvanceWindow(static_cast<double>(w) * L, /*inclusive=*/false);
+  }
+  AdvanceWindow(end, /*inclusive=*/true);
+
   server_->Stop();
   updates_->Stop();
-  // Sleepers never observe deliveries in wake-index mode; settle their
-  // missed counts while the units still outlive the server.
-  server_->SettleUnitStats();
   measure_intervals_ = measure_intervals;
   ran_ = true;
+
+  shard_stats_.clear();
+  shard_stats_.reserve(shards_.size());
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    CellShardStats st;
+    st.num_units = shard_offset_[s + 1] - shard_offset_[s];
+    st.sim_events = shards_[s]->sim.DispatchedEvents();
+    st.wall_seconds = shards_[s]->wall_seconds;
+    shard_stats_.push_back(st);
+  }
   return Status::OK();
+}
+
+std::vector<MobileUnit*> Cell::units() {
+  std::vector<MobileUnit*> out;
+  out.reserve(config_.num_units);
+  for (auto& shard : shards_) {
+    for (auto& unit : shard->units) out.push_back(unit.get());
+  }
+  return out;
+}
+
+MobileUnitStats Cell::UnitStats(uint64_t global_index) const {
+  assert(global_index < config_.num_units);
+  size_t s = 0;
+  while (global_index >= shard_offset_[s + 1]) ++s;
+  const Shard& sh = *shards_[s];
+  const size_t local = global_index - shard_offset_[s];
+  // Fold the SoA-owned broadcast counters into the unit's own stats. The
+  // unit never writes its copies of those fields, so the fold is exact
+  // (0 + x) and the listen_seconds accumulation order is the unit's own
+  // delivery order at any shard count. The bitmap fan-out
+  // never visits sleepers, so missed counts are settled here from the
+  // identity missed = deliveries_completed - heard (elided deliveries
+  // included — nobody heard those by construction).
+  MobileUnitStats st = sh.units[local]->stats();
+  st.reports_heard += sh.soa.reports_heard[local];
+  st.listen_seconds += sh.soa.listen_seconds[local];
+  st.reports_missed = deliveries_completed_ - st.reports_heard;
+  return st;
 }
 
 CellResult Cell::result() const {
   CellResult r;
   uint64_t latency_samples = 0;
   double latency_sum = 0.0;
-  for (const auto& unit : units_) {
-    const MobileUnitStats& st = unit->stats();
+  // Global unit order (shard-major over the contiguous partition), so the
+  // floating-point accumulation order is the same at every shard count.
+  for (uint64_t i = 0; i < config_.num_units; ++i) {
+    const MobileUnitStats st = UnitStats(i);
     r.queries_answered += st.queries_answered;
     r.hits += st.hits;
     r.misses += st.misses;
@@ -230,12 +695,14 @@ CellResult Cell::result() const {
                     : static_cast<double>(r.hits) /
                           static_cast<double>(r.queries_answered);
   r.mean_answer_latency =
-      latency_samples == 0 ? 0.0 : latency_sum / static_cast<double>(latency_samples);
+      latency_samples == 0
+          ? 0.0
+          : latency_sum / static_cast<double>(latency_samples);
   r.reports_broadcast = server_->stats().reports_broadcast;
-  r.quiet_report_intervals = server_->stats().quiet_report_intervals;
-  r.quiet_skipped_intervals = server_->stats().quiet_skipped_intervals;
+  r.quiet_report_intervals = quiet_report_intervals_;
+  r.quiet_skipped_intervals = quiet_skipped_intervals_;
   r.avg_report_bits = server_->stats().report_bits.mean();
-  if (async_ != nullptr && measure_intervals_ > 0) {
+  if (async_mode_ && measure_intervals_ > 0) {
     // Asynchronous mode has no periodic report; its per-interval broadcast
     // cost is the invalidation-message traffic averaged over the run.
     r.avg_report_bits = static_cast<double>(channel_->stats().report_bits) /
@@ -247,18 +714,57 @@ CellResult Cell::result() const {
                      : static_cast<double>(r.reports_missed) /
                            static_cast<double>(decisions);
   // Batched updates no longer pass through the scheduler, but each was one
-  // dispatched event under the per-event engine; count them back in so the
-  // events/sec denominator measures the same simulated work either way.
+  // dispatched event under the per-event update engine; count them back in
+  // so the events/sec denominator measures the same simulated work.
   r.sim_events = sim_->DispatchedEvents() + updates_->batched_updates_applied();
+  for (const auto& shard : shards_) {
+    r.sim_events += shard->sim.DispatchedEvents();
+  }
   r.updates_applied = updates_->updates_generated();
   r.channel = channel_->stats();
 
-  const StrategyEval eval = EvalFromMeasurements(config_.model, r.hit_ratio,
-                                                 r.avg_report_bits);
+  const StrategyEval eval = EvalFromMeasurements(
+      config_.model, r.hit_ratio, r.avg_report_bits);
   r.throughput = eval.throughput;
   r.effectiveness = eval.effectiveness;
   r.feasible = eval.feasible;
   return r;
+}
+
+uint64_t Cell::registry_control_messages() const {
+  uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    if (shard->registry != nullptr) {
+      total += shard->registry->control_messages();
+    }
+  }
+  return total;
+}
+
+uint64_t Cell::registry_invalidations_sent() const {
+  uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    if (shard->registry != nullptr) {
+      total += shard->registry->invalidations_sent();
+    }
+  }
+  return total;
+}
+
+uint64_t Cell::registry_invalidations_missed_asleep() const {
+  uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    if (shard->registry != nullptr) {
+      total += shard->registry->invalidations_missed_asleep();
+    }
+  }
+  return total;
+}
+
+uint64_t Cell::async_deliveries() const {
+  uint64_t total = 0;
+  for (const auto& shard : shards_) total += shard->async_deliveries;
+  return total;
 }
 
 }  // namespace mobicache

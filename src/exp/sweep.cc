@@ -5,7 +5,7 @@
 #include <string>
 #include <utility>
 
-#include "exp/megacell.h"
+#include "exp/cell.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
@@ -63,18 +63,15 @@ struct SweepJob {
 };
 
 // Builds, runs, and harvests one cell. `slot`/`status`/`timing` belong
-// exclusively to this job. Every cell runs as a MegaCell — a 1-shard
-// MegaCell is byte-identical to the classic Cell (see exp/megacell.h) and
-// reports the per-phase wall breakdown the bench JSON carries.
+// exclusively to this job. The cell's result is the same at every shard
+// count (see exp/cell.h), and it reports the per-phase wall breakdown the
+// bench JSON carries.
 void RunSweepJob(const SweepJob& job, uint64_t warmup_intervals,
                  uint64_t measure_intervals, int shards,
                  std::optional<CellResult>* slot,
                  SweepResult::CellTiming* timing, Status* status) {
   const auto t0 = std::chrono::steady_clock::now();
-  MegaCellConfig mc;
-  mc.cell = job.config;
-  mc.num_shards = static_cast<uint32_t>(shards);
-  MegaCell cell(std::move(mc));
+  Cell cell(job.config, static_cast<uint32_t>(shards));
   Status s = cell.Build();
   if (s.ok()) s = cell.Run(warmup_intervals, measure_intervals);
   if (s.ok()) slot->emplace(cell.result());

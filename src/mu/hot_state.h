@@ -9,11 +9,9 @@
 // never visited and need no missed-report lane: reports_missed is settled at
 // harvest time as deliveries_completed - reports_heard.
 //
-// A MobileUnit bound to a SoA slot (MobileUnit::BindHotState) hands
-// ownership of the broadcast counters (reports heard, listen seconds) to the
-// SoA — the engine's fan-out loop writes them and the unit's own stats_
-// copies stay zero — so harvesting folds `stats_ + soa` without double
-// counting.
+// The SoA owns the broadcast counters (reports heard, listen seconds): the
+// engine's fan-out loop writes them and a unit never touches its own stats_
+// copies, so harvesting folds `stats_ + soa` without double counting.
 
 #ifndef MOBICACHE_MU_HOT_STATE_H_
 #define MOBICACHE_MU_HOT_STATE_H_
@@ -25,20 +23,17 @@
 namespace mobicache {
 
 struct MuHotSoA {
-  std::vector<uint8_t> immediate;      ///< 1 for answer-immediately units.
   std::vector<uint64_t> reports_heard;
   std::vector<double> listen_seconds;
 
-  size_t size() const { return immediate.size(); }
+  size_t size() const { return reports_heard.size(); }
 
   void Resize(size_t n) {
-    immediate.assign(n, 0);
     reports_heard.assign(n, 0);
     listen_seconds.assign(n, 0.0);
   }
 
-  /// Zeroes the stat lanes (after warm-up); the immediate lane is
-  /// configuration and keeps its value.
+  /// Zeroes the stat lanes (after warm-up).
   void ResetStats() {
     reports_heard.assign(reports_heard.size(), 0);
     listen_seconds.assign(listen_seconds.size(), 0.0);

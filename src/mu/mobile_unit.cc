@@ -67,13 +67,6 @@ void MobileUnit::BindStatefulRegistry(StatefulRegistry* registry,
 
 void MobileUnit::ServerInvalidate(ItemId id) { cache_.Erase(id); }
 
-void MobileUnit::BindHotState(MuHotSoA* soa, uint32_t index) {
-  assert(soa != nullptr && index < soa->size());
-  hot_ = soa;
-  hot_index_ = index;
-  soa->immediate[index] = config_.answer_immediately ? 1 : 0;
-}
-
 void MobileUnit::BindWakeIndex(WakeIndex* index, uint32_t slot) {
   assert(index != nullptr && slot < index->size());
   assert(!started_ && "bind the wake index before Start()");
@@ -275,19 +268,6 @@ void MobileUnit::GenerateIntervalArrivals(SimTime interval_end) {
     arriving_.erase(std::unique(arriving_.begin(), arriving_.end(), same_id),
                     arriving_.end());
   }
-}
-
-bool MobileUnit::OnBroadcast(const Report& report, double listen_seconds) {
-  if (!awake_) {
-    ++stats_.reports_missed;
-    return false;
-  }
-  ++stats_.reports_heard;
-  stats_.listen_seconds += listen_seconds;
-
-  // Stateful modes ignore report contents but still pay the listen cost.
-  if (!config_.answer_immediately) OnReportDelivery(report);
-  return true;
 }
 
 void MobileUnit::OnReportDelivery(const Report& report) {

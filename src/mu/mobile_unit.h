@@ -39,7 +39,6 @@
 #include "core/report.h"
 #include "core/stateful.h"
 #include "core/strategy.h"
-#include "mu/hot_state.h"
 #include "mu/sleep_model.h"
 #include "mu/wake_index.h"
 #include "mu/uplink_service.h"
@@ -105,24 +104,12 @@ class MobileUnit {
   /// report delivery within it.
   Status Start();
 
-  /// Called by the cell/server when the report lands (transmission
-  /// complete). `listen_seconds` is the energy the unit pays to receive it
-  /// if awake. Returns true when the unit heard the report (was awake) —
-  /// the server aggregates this into its quiet-interval counter.
-  bool OnBroadcast(const Report& report, double listen_seconds);
-
-  /// The report-consumption half of OnBroadcast, minus the awake check and
-  /// the heard/missed/listen accounting: applies the report to the cache and
-  /// answers every sealed query group it covers. The sharded cell engine
-  /// calls this directly for awake non-immediate units after settling the
-  /// accounting in the shard's SoA lanes.
+  /// Called by the cell when the report lands (transmission complete) and
+  /// this unit is awake: applies the report to the cache and answers every
+  /// sealed query group it covers. The cell's awake-set fan-out owns the
+  /// heard/missed/listen accounting (in its SoA lanes, see hot_state.h), so
+  /// this unit's own copies of those counters stay zero.
   void OnReportDelivery(const Report& report);
-
-  /// Mirrors this unit's hot fields into `soa` slot `index` (see
-  /// hot_state.h). The broadcast counters become SoA-owned, so the caller
-  /// must stop routing OnBroadcast through this unit and drive the awake-set
-  /// fan-out + OnReportDelivery itself.
-  void BindHotState(MuHotSoA* soa, uint32_t index);
 
   /// Publishes this unit's awake/asleep transitions into slot `slot` of a
   /// shared WakeIndex (see wake_index.h): every tick marks the slot awake,
@@ -136,14 +123,6 @@ class MobileUnit {
   /// fast-forward scan already knows it — one of PR 4's predrawn flips).
   SimTime NextWakeTime() const {
     return awake_ ? sim_->Now() : pending_tick_time_;
-  }
-
-  /// Finalizes reports_missed from the server's delivery count. With
-  /// awake-set fan-out sleepers never observe a delivery, so the per-miss
-  /// increment of OnBroadcast is replaced by this end-of-run settlement:
-  /// every completed delivery was either heard or missed.
-  void SettleMissedReports(uint64_t deliveries_completed) {
-    stats_.reports_missed = deliveries_completed - stats_.reports_heard;
   }
 
   /// Wires this unit to a stateful-server registry. `drop_cache_on_wake`
@@ -275,9 +254,6 @@ class MobileUnit {
   StatefulRegistry* registry_ = nullptr;
   StatefulRegistry::ClientId registry_id_ = 0;
   bool drop_cache_on_wake_ = false;
-
-  MuHotSoA* hot_ = nullptr;  ///< Shard-owned SoA mirror; null when unbound.
-  uint32_t hot_index_ = 0;
 
   WakeIndex* wake_index_ = nullptr;  ///< Shared wake index; null = unbound.
   uint32_t wake_slot_ = 0;

@@ -1,7 +1,8 @@
 // Interface a mobile unit uses to send a cache-miss query uplink. The
-// server-side implementation accounts channel bits (bq + strategy extras
-// uplink, ba downlink) and returns the current item value stamped with the
-// server clock.
+// cell's implementation (exp/cell.cc) returns the item value at the fetch
+// instant stamped with the shard clock, and logs the query so the barrier
+// replay charges its channel bits (bq + strategy extras uplink, ba
+// downlink) through Server::AccountUplinkQuery.
 
 #ifndef MOBICACHE_MU_UPLINK_SERVICE_H_
 #define MOBICACHE_MU_UPLINK_SERVICE_H_

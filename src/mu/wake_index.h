@@ -10,10 +10,9 @@
 // report transmission finishes strictly before the earliest wake can skip
 // report materialization and fan-out with no observable difference.
 //
-// The index also stores the awake set as a bitmap in unit-attach order, so
-// report fan-out iterates awake units directly (ascending order — the
-// uplink/strategy observation order of the classic all-units loop) instead
-// of bouncing off OnBroadcast for every sleeper.
+// The index also stores the awake set as a bitmap in unit order, so report
+// fan-out iterates awake units directly (ascending order — the unit order
+// uplinks and strategy observations follow) and never visits a sleeper.
 //
 // Registration invariants (kept by MobileUnit::ScheduleNextTick):
 //  * an awake unit occupies its bitmap bit and has no wake registration;

@@ -1,13 +1,11 @@
 #include "server/server.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <limits>
 #include <utility>
 
 #include "db/update_generator.h"
-#include "util/wall_timer.h"
 
 namespace mobicache {
 
@@ -25,11 +23,6 @@ Server::Server(Simulator* sim, Database* db, Channel* channel,
 }
 
 Server::~Server() { Stop(); }
-
-void Server::AttachUnit(MobileUnit* unit) {
-  assert(broadcaster_ == nullptr && "attach units before Start()");
-  units_.push_back(unit);
-}
 
 void Server::AttachWakeIndex(const WakeIndex* index) {
   assert(index != nullptr);
@@ -67,23 +60,6 @@ void Server::Stop() {
   if (broadcaster_ != nullptr) broadcaster_->Stop();
 }
 
-void Server::SettleUnitStats() {
-  if (wake_indexes_.empty()) return;
-  for (MobileUnit* unit : units_) {
-    unit->SettleMissedReports(deliveries_completed_);
-  }
-}
-
-void Server::RecomputeDeliveryPath() {
-  if (report_observer_) {
-    delivery_path_ = DeliveryPath::kGeneral;
-  } else if (delivery_sink_) {
-    delivery_path_ = DeliveryPath::kSink;
-  } else {
-    delivery_path_ = DeliveryPath::kFanOut;
-  }
-}
-
 std::shared_ptr<Report>& Server::AcquireReportSlot() {
   // use_count == 1 means only the arena holds the slot: the previous
   // delivery's consumption event has dropped its reference, so the Report's
@@ -98,7 +74,6 @@ std::shared_ptr<Report>& Server::AcquireReportSlot() {
 }
 
 void Server::Broadcast(uint64_t interval) {
-  WallTimer timer(&broadcast_wall_seconds_);
   // Batched update drain: everything strictly before this broadcast instant
   // becomes visible before the report builds — the per-event engine had
   // dispatched exactly those update events when this one fired.
@@ -125,12 +100,12 @@ void Server::Broadcast(uint64_t interval) {
 
   // Quiet-interval elision (the "sleepers" fast path): if every attached
   // unit is asleep now and none wakes before this transmission completes,
-  // the report is pure downlink accounting — no unit, observer, or jittered
+  // the report is pure downlink accounting — no unit or jittered
   // re-delivery will ever read it. The strategy still advances (AdvanceQuiet
   // consumes the interval and yields the exact bit size), so every counter
   // stays byte-identical to the materialized run.
   bool quiet_candidate = config_.quiet_elision && jitter <= 0.0 &&
-                         !report_observer_ && !wake_indexes_.empty();
+                         !wake_indexes_.empty();
   SimTime wake_horizon = std::numeric_limits<SimTime>::infinity();
   if (quiet_candidate) {
     uint64_t awake = 0;
@@ -154,7 +129,7 @@ void Server::Broadcast(uint64_t interval) {
       // A unit wakes mid-transmission (or exactly at its end): replay the
       // materialized mechanics from the already-advanced strategy state.
       std::shared_ptr<Report>& slot = AcquireReportSlot();
-      *slot = strategy_->MaterializeQuiet(now, interval);
+      strategy_->MaterializeQuietInto(now, interval, slot.get());
       report = slot;
     }
   } else {
@@ -164,7 +139,7 @@ void Server::Broadcast(uint64_t interval) {
     duration = channel_->Duration(bits);
     if (quiet_candidate && wake_horizon > now + duration) {
       // Build-without-deliver fallback: the strategy had no cheap advance,
-      // but the fan-out is still dead — skip scheduling it.
+      // but nobody can hear the report — hand the sink a null one.
       elide_delivery = true;
     } else {
       report = slot;
@@ -198,9 +173,9 @@ void Server::Deliver(std::shared_ptr<const Report> report, uint64_t bits,
   const double listen =
       delivery_ == nullptr ? duration
                            : delivery_->ListenSeconds(jitter, duration);
-  // Units consume the report when its transmission completes. Quiet counters
-  // tick inside this event so ResetStats boundaries and run-end truncation
-  // bin elided intervals exactly like materialized ones.
+  // Units consume the report when its transmission completes. Elided
+  // intervals reach the sink through this event too, so stats resets and
+  // run-end truncation bin them exactly like materialized ones.
   sim_->ScheduleAt(done, [this, report = std::move(report), listen, done] {
     ConsumeDelivery(std::move(report), listen, done);
   });
@@ -208,75 +183,14 @@ void Server::Deliver(std::shared_ptr<const Report> report, uint64_t bits,
 
 void Server::ConsumeDelivery(std::shared_ptr<const Report> report,
                              double listen, SimTime done) {
-  WallTimer timer(&broadcast_wall_seconds_);
-  // Drain updates due before the consumption instant: report observers
-  // and unit answers snapshot ground truth here, and the per-event engine
+  // Drain updates due before the consumption instant: the per-event engine
   // had applied exactly the updates with time < done by this point.
   if (update_pump_ != nullptr) {
     update_pump_->GenerateIntervalUpdates(done, /*inclusive=*/false);
   }
-  ++deliveries_completed_;
-  if (report == nullptr) {
-    if (delivery_path_ == DeliveryPath::kSink) {
-      delivery_sink_(ReportDelivery{nullptr, listen, done});
-      return;
-    }
-    ++stats_.quiet_report_intervals;
-    ++stats_.quiet_skipped_intervals;
-    return;
+  if (delivery_sink_) {
+    delivery_sink_(ReportDelivery{std::move(report), listen, done});
   }
-  switch (delivery_path_) {
-    case DeliveryPath::kFanOut: {
-      if (FanOutReport(*report, listen) == 0) {
-        ++stats_.quiet_report_intervals;
-      }
-      break;
-    }
-    case DeliveryPath::kSink:
-      delivery_sink_(ReportDelivery{report, listen, done});
-      break;
-    case DeliveryPath::kGeneral: {
-      if (report_observer_) report_observer_(*report);
-      if (delivery_sink_) {
-        delivery_sink_(ReportDelivery{report, listen, done});
-        break;
-      }
-      if (FanOutReport(*report, listen) == 0) {
-        ++stats_.quiet_report_intervals;
-      }
-      break;
-    }
-  }
-}
-
-uint64_t Server::FanOutReport(const Report& report, double listen_seconds) {
-  if (!wake_indexes_.empty()) {
-    // Deliver to the awake set only, in ascending slot order — the same
-    // visit order as the legacy all-units loop, minus the sleepers (whose
-    // OnBroadcast would have been a counted miss; see SettleUnitStats).
-    uint64_t heard = 0;
-    size_t base = 0;
-    for (const WakeIndex* index : wake_indexes_) {
-      const std::vector<uint64_t>& words = index->awake_words();
-      for (size_t w = 0; w < words.size(); ++w) {
-        uint64_t word = words[w];
-        while (word != 0) {
-          const size_t slot =
-              base + w * 64 + static_cast<size_t>(std::countr_zero(word));
-          word &= word - 1;
-          units_[slot]->OnBroadcast(report, listen_seconds);
-          ++heard;
-        }
-      }
-      base += index->size();
-    }
-    return heard;
-  }
-  uint64_t heard = 0;
-  for (MobileUnit* unit : units_) {
-    if (unit->OnBroadcast(report, listen_seconds)) ++heard;
-  }
-  return heard;
 }
 
 void Server::AccountUplinkQuery(const UplinkQueryInfo& info) {
@@ -286,16 +200,6 @@ void Server::AccountUplinkQuery(const UplinkQueryInfo& info) {
   channel_->Transmit(config_.sizes.bq + extra, TrafficClass::kUplinkQuery);
   channel_->Transmit(config_.sizes.ba, TrafficClass::kDownlinkAnswer);
   ++stats_.uplink_queries_served;
-}
-
-UplinkService::FetchResult Server::FetchItem(const UplinkQueryInfo& info) {
-  // The fetched value must reflect every update strictly before the fetch
-  // instant, exactly as the per-event interleaving would have applied them.
-  if (update_pump_ != nullptr) {
-    update_pump_->GenerateIntervalUpdates(sim_->Now(), /*inclusive=*/false);
-  }
-  AccountUplinkQuery(info);
-  return FetchResult{db_->ValueOf(info.id), sim_->Now()};
 }
 
 }  // namespace mobicache

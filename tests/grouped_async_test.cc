@@ -2,13 +2,16 @@
 // invalidation broadcast, including the §3.2 AT-equivalence claim.
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "analysis/model.h"
 #include "core/grouped.h"
 #include "exp/cell.h"
-#include "server/async_broadcaster.h"
+#include "exp/strategy_factory.h"
 
 namespace mobicache {
 namespace {
@@ -124,17 +127,35 @@ TEST(GroupedCellTest, RunsAndTracksModel) {
               model.report_bits * 0.2 + 2.0);
 }
 
-TEST(AsyncBroadcasterTest, DeliversOnlyToAwakeUnits) {
-  Simulator sim;
-  Channel channel(&sim, 1e4);
-  MessageSizes sizes;
-  sizes.id_bits = 10;
-  AsyncBroadcaster async(&sim, &channel, sizes);
-  // No units attached: message still broadcast, nobody invalidated.
-  async.OnUpdate(4, 1.0);
-  EXPECT_EQ(async.messages_broadcast(), 1u);
-  EXPECT_EQ(async.deliveries(), 0u);
-  EXPECT_EQ(channel.stats().report_bits, 10u);
+TEST(AsyncCellTest, DeliversOnlyToAwakeUnits) {
+  // Every update is one id-sized broadcast message whether or not anybody
+  // listens; only awake units receive it.
+  auto run = [](double s) {
+    CellConfig config;
+    config.model.n = 300;
+    config.model.mu = 2e-3;
+    config.model.s = s;
+    config.strategy = StrategyKind::kAsync;
+    config.num_units = 6;
+    config.hotspot_size = 10;
+    config.seed = 5;
+    Cell cell(config);
+    EXPECT_TRUE(cell.Build().ok());
+    EXPECT_TRUE(cell.Run(5, 50).ok());
+    const CellResult r = cell.result();
+    const uint64_t messages = cell.async_messages_broadcast();
+    const uint64_t id_bits = ComputeMessageSizes(config.model).id_bits;
+    EXPECT_GT(messages, 0u);
+    // The periodic null report still counts a (zero-bit) transmission.
+    EXPECT_EQ(r.channel.report_count, messages + r.reports_broadcast);
+    EXPECT_EQ(r.channel.report_bits, messages * id_bits);
+    return std::pair{messages, cell.async_deliveries()};
+  };
+  // Nobody awake: messages go out, nobody is invalidated.
+  EXPECT_EQ(run(1.0).second, 0u);
+  // Everybody awake: each message reaches all six units.
+  const auto [awake_messages, awake_deliveries] = run(0.0);
+  EXPECT_EQ(awake_deliveries, 6 * awake_messages);
 }
 
 TEST(AsyncCellTest, EquivalentToAtInCostAndHitRatio) {
@@ -175,6 +196,10 @@ TEST(AsyncCellTest, EquivalentToAtInCostAndHitRatio) {
   EXPECT_LT(async.mean_answer_latency, at.mean_answer_latency);
 }
 
+// Async units answer on arrival, inside the shard phase, so every hit must
+// match the value at its validity time at any shard count. Observers run on
+// shard threads: one counter slot per unit, summed after the run.
+// megacell_test audits the stateful baselines the same way.
 TEST(AsyncCellTest, SafetyNoStaleAnswers) {
   CellConfig config;
   config.model.n = 300;
@@ -184,21 +209,33 @@ TEST(AsyncCellTest, SafetyNoStaleAnswers) {
   config.num_units = 8;
   config.hotspot_size = 10;
   config.seed = 13;
-  Cell cell(config);
-  ASSERT_TRUE(cell.Build().ok());
-  uint64_t violations = 0, hits = 0;
-  Database* db = cell.db();
-  for (MobileUnit* unit : cell.units()) {
-    unit->SetAnswerObserver([&](ItemId id, uint64_t value, SimTime ts,
-                                bool hit) {
-      if (!hit) return;
-      ++hits;
-      if (value != db->ValueAt(id, ts)) ++violations;
-    });
+  for (uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Cell cell(config, shards);
+    ASSERT_TRUE(cell.Build().ok());
+    std::vector<uint64_t> hits(config.num_units, 0);
+    std::vector<uint64_t> violations(config.num_units, 0);
+    const Database* db = cell.db();
+    const std::vector<MobileUnit*> units = cell.units();
+    for (size_t i = 0; i < units.size(); ++i) {
+      units[i]->SetAnswerObserver([db, hit_slot = &hits[i],
+                                   bad_slot = &violations[i]](
+                                      ItemId id, uint64_t value, SimTime ts,
+                                      bool hit) {
+        if (!hit) return;
+        ++*hit_slot;
+        if (value != db->ValueAt(id, ts)) ++*bad_slot;
+      });
+    }
+    ASSERT_TRUE(cell.Run(20, 300).ok());
+    uint64_t total_hits = 0, total_violations = 0;
+    for (size_t i = 0; i < units.size(); ++i) {
+      total_hits += hits[i];
+      total_violations += violations[i];
+    }
+    EXPECT_GT(total_hits, 500u);
+    EXPECT_EQ(total_violations, 0u);
   }
-  ASSERT_TRUE(cell.Run(20, 300).ok());
-  EXPECT_GT(hits, 500u);
-  EXPECT_EQ(violations, 0u);
 }
 
 }  // namespace

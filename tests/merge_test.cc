@@ -1,9 +1,9 @@
 // LoserTreeMerger correctness and allocation discipline. The merger is the
-// heart of the MegaCell barrier replay (exp/megacell.cc), so beyond the
+// heart of the cell's barrier replay (exp/cell.cc), so beyond the
 // randomized equivalence-vs-naive-reference checks this suite proves the
 // allocation contract the replay path depends on: once capacity is warm, a
 // full Reset/SetHead/Build/drain cycle performs zero heap allocations, and a
-// longer MegaCell run does not allocate proportionally to the extra
+// longer sharded cell run does not allocate proportionally to the extra
 // intervals it replays.
 
 #include <algorithm>
@@ -16,7 +16,7 @@
 
 #include <gtest/gtest.h>
 
-#include "exp/megacell.h"
+#include "exp/cell.h"
 #include "util/merge.h"
 
 // Counts every global operator new in this test binary so allocation-free
@@ -202,18 +202,17 @@ TEST(LoserTreeMergerTest, WarmMergeCycleIsAllocationFree) {
 /// allocate in proportion to the records they replay.
 TEST(MegaCellAllocationTest, ExtraIntervalsAllocateSublinearly) {
   auto run_allocs = [](uint64_t measure, size_t* allocs) {
-    MegaCellConfig mc;
-    mc.cell.model.n = 1000;
-    mc.cell.model.lambda = 0.1;
-    mc.cell.model.mu = 1e-3;
-    mc.cell.model.L = 10.0;
-    mc.cell.model.s = 0.0;  // workaholics: every unit queries every interval
-    mc.cell.strategy = StrategyKind::kNoCache;
-    mc.cell.num_units = 16;
-    mc.cell.hotspot_size = 8;
-    mc.cell.seed = 99;
-    mc.num_shards = 4;
-    MegaCell cell(std::move(mc));
+    CellConfig cc;
+    cc.model.n = 1000;
+    cc.model.lambda = 0.1;
+    cc.model.mu = 1e-3;
+    cc.model.L = 10.0;
+    cc.model.s = 0.0;  // workaholics: every unit queries every interval
+    cc.strategy = StrategyKind::kNoCache;
+    cc.num_units = 16;
+    cc.hotspot_size = 8;
+    cc.seed = 99;
+    Cell cell(std::move(cc), /*num_shards=*/4);
     ASSERT_TRUE(cell.Build().ok());
     const size_t before = g_new_calls.load();
     ASSERT_TRUE(cell.Run(/*warmup=*/2, measure).ok());

@@ -120,7 +120,7 @@ TEST_P(StatefulPropertyTest, CountingInvariants) {
   // Uplink traffic = one query per miss, plus (kStateful only) the
   // sleep/wake control protocol; kIdeal charges nothing extra.
   const uint64_t control = kind == StrategyKind::kStateful
-                               ? cell.registry()->control_messages()
+                               ? cell.registry_control_messages()
                                : 0u;
   EXPECT_EQ(r.channel.uplink_query_count, r.misses + control);
   EXPECT_LE(r.hit_ratio, 1.0);

@@ -12,8 +12,8 @@
 //    bit against a hand-rolled reference Rng.
 //  * Event-count canary: a mostly-sleeping cell dispatches far fewer events
 //    than the one-tick-per-unit-interval floor of a per-interval engine.
-//  * MegaCell cross-check: the sharded lockstep engine stays byte-identical
-//    to the classic cell when nearly every unit is fast-forwarding.
+//  * Shard cross-check: the lockstep cell stays byte-identical across shard
+//    counts when nearly every unit is fast-forwarding.
 
 #include <cstdint>
 #include <map>
@@ -26,7 +26,6 @@
 
 #include "core/at.h"
 #include "exp/cell.h"
-#include "exp/megacell.h"
 #include "mu/mobile_unit.h"
 #include "mu/sleep_model.h"
 #include "util/random.h"
@@ -284,7 +283,8 @@ TEST(BatchedArrivalTest, ReplaysPerEventDrawOrderBitForBit) {
   AtReport report;
   report.interval = 2;
   report.timestamp = 25.0;
-  unit.OnBroadcast(Report(report), 0.0);
+  ASSERT_TRUE(unit.awake());
+  unit.OnReportDelivery(Report(report));
 
   EXPECT_EQ(unit.stats().queries_issued, ref_issued);
   ASSERT_EQ(uplink.queries.size(), ref_first.size());
@@ -349,10 +349,11 @@ void ExpectUnitStatsEqual(const MobileUnitStats& a, const MobileUnitStats& b) {
   EXPECT_EQ(a.answer_latency.variance(), b.answer_latency.variance());
 }
 
-// megacell_test covers all strategies at s = 0.3; this pins the equivalence
-// where fast-forwarding dominates (s = 0.95: almost every unit-interval is
-// skipped, naps regularly span report windows) for a report-driven strategy
-// and an immediate-answer stateful one.
+// megacell_test pins all strategies at s = 0.3 to recorded goldens; this
+// pins the shard equivalence where fast-forwarding dominates (s = 0.95:
+// almost every unit-interval is skipped, naps regularly span report windows)
+// for a report-driven strategy and an immediate-answer stateful one. The
+// reference is the 1-shard cell.
 TEST(SleeperCellTest, MegaCellMatchesCellWhenMostUnitsSleep) {
   for (StrategyKind kind : {StrategyKind::kTs, StrategyKind::kStateful}) {
     CellConfig config;
@@ -367,41 +368,38 @@ TEST(SleeperCellTest, MegaCellMatchesCellWhenMostUnitsSleep) {
     config.hotspot_size = 30;
     config.seed = 1234;
 
-    Cell classic(config);
-    ASSERT_TRUE(classic.Build().ok());
-    ASSERT_TRUE(classic.Run(5, 60).ok());
-    const CellResult classic_result = classic.result();
+    Cell single(config);
+    ASSERT_TRUE(single.Build().ok());
+    ASSERT_TRUE(single.Run(5, 60).ok());
+    const CellResult single_result = single.result();
 
-    for (uint32_t shards : {1u, 3u}) {
+    for (uint32_t shards : {3u, 8u}) {
       SCOPED_TRACE(std::string(StrategyName(kind)) + " shards=" +
                    std::to_string(shards));
-      MegaCellConfig mc;
-      mc.cell = config;
-      mc.num_shards = shards;
-      MegaCell mega(mc);
+      Cell mega(config, shards);
       ASSERT_TRUE(mega.Build().ok());
       ASSERT_TRUE(mega.Run(5, 60).ok());
 
       const CellResult& m = mega.result();
-      EXPECT_EQ(m.queries_answered, classic_result.queries_answered);
-      EXPECT_EQ(m.hits, classic_result.hits);
-      EXPECT_EQ(m.misses, classic_result.misses);
-      EXPECT_EQ(m.hit_ratio, classic_result.hit_ratio);
-      EXPECT_EQ(m.avg_report_bits, classic_result.avg_report_bits);
-      EXPECT_EQ(m.mean_answer_latency, classic_result.mean_answer_latency);
-      EXPECT_EQ(m.reports_heard, classic_result.reports_heard);
-      EXPECT_EQ(m.reports_missed, classic_result.reports_missed);
+      EXPECT_EQ(m.queries_answered, single_result.queries_answered);
+      EXPECT_EQ(m.hits, single_result.hits);
+      EXPECT_EQ(m.misses, single_result.misses);
+      EXPECT_EQ(m.hit_ratio, single_result.hit_ratio);
+      EXPECT_EQ(m.avg_report_bits, single_result.avg_report_bits);
+      EXPECT_EQ(m.mean_answer_latency, single_result.mean_answer_latency);
+      EXPECT_EQ(m.reports_heard, single_result.reports_heard);
+      EXPECT_EQ(m.reports_missed, single_result.reports_missed);
       EXPECT_EQ(m.measured_sleep_fraction,
-                classic_result.measured_sleep_fraction);
-      EXPECT_EQ(m.items_invalidated, classic_result.items_invalidated);
-      EXPECT_EQ(m.listen_seconds_total, classic_result.listen_seconds_total);
-      EXPECT_EQ(m.throughput, classic_result.throughput);
+                single_result.measured_sleep_fraction);
+      EXPECT_EQ(m.items_invalidated, single_result.items_invalidated);
+      EXPECT_EQ(m.listen_seconds_total, single_result.listen_seconds_total);
+      EXPECT_EQ(m.throughput, single_result.throughput);
       EXPECT_EQ(m.channel.uplink_query_bits,
-                classic_result.channel.uplink_query_bits);
-      EXPECT_EQ(m.channel.busy_seconds, classic_result.channel.busy_seconds);
+                single_result.channel.uplink_query_bits);
+      EXPECT_EQ(m.channel.busy_seconds, single_result.channel.busy_seconds);
       for (uint64_t i = 0; i < config.num_units; ++i) {
         SCOPED_TRACE("unit " + std::to_string(i));
-        ExpectUnitStatsEqual(mega.UnitStats(i), classic.units()[i]->stats());
+        ExpectUnitStatsEqual(mega.UnitStats(i), single.UnitStats(i));
       }
     }
   }

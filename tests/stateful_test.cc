@@ -21,7 +21,7 @@ struct FakeClient {
 };
 
 TEST(StatefulRegistryTest, IdealInvalidatesEvenAsleep) {
-  StatefulRegistry reg(StatefulMode::kIdeal, nullptr, Sizes());
+  StatefulRegistry reg(StatefulMode::kIdeal, Sizes());
   FakeClient c;
   c.awake = false;
   const auto id = reg.RegisterClient(
@@ -37,7 +37,9 @@ TEST(StatefulRegistryTest, IdealInvalidatesEvenAsleep) {
 TEST(StatefulRegistryTest, StatefulSkipsSleepingClients) {
   Simulator sim;
   Channel ch(&sim, 1000.0);
-  StatefulRegistry reg(StatefulMode::kStateful, &ch, Sizes());
+  StatefulRegistry reg(StatefulMode::kStateful, Sizes());
+  reg.SetTransmitSink(
+      [&ch](uint64_t bits, TrafficClass cls) { ch.Transmit(bits, cls); });
   FakeClient c;
   c.awake = false;
   const auto id = reg.RegisterClient(
@@ -53,7 +55,9 @@ TEST(StatefulRegistryTest, StatefulSkipsSleepingClients) {
 TEST(StatefulRegistryTest, StatefulChargesInvalidationBits) {
   Simulator sim;
   Channel ch(&sim, 1000.0);
-  StatefulRegistry reg(StatefulMode::kStateful, &ch, Sizes());
+  StatefulRegistry reg(StatefulMode::kStateful, Sizes());
+  reg.SetTransmitSink(
+      [&ch](uint64_t bits, TrafficClass cls) { ch.Transmit(bits, cls); });
   FakeClient c;
   const auto id = reg.RegisterClient(
       [&](ItemId i) { c.invalidated.push_back(i); },
@@ -65,7 +69,7 @@ TEST(StatefulRegistryTest, StatefulChargesInvalidationBits) {
 }
 
 TEST(StatefulRegistryTest, InvalidationClearsHolderRecord) {
-  StatefulRegistry reg(StatefulMode::kIdeal, nullptr, Sizes());
+  StatefulRegistry reg(StatefulMode::kIdeal, Sizes());
   FakeClient c;
   const auto id = reg.RegisterClient(
       [&](ItemId i) { c.invalidated.push_back(i); },
@@ -77,7 +81,7 @@ TEST(StatefulRegistryTest, InvalidationClearsHolderRecord) {
 }
 
 TEST(StatefulRegistryTest, DroppedItemsAreNotNotified) {
-  StatefulRegistry reg(StatefulMode::kIdeal, nullptr, Sizes());
+  StatefulRegistry reg(StatefulMode::kIdeal, Sizes());
   FakeClient c;
   const auto id = reg.RegisterClient(
       [&](ItemId i) { c.invalidated.push_back(i); },
@@ -91,7 +95,9 @@ TEST(StatefulRegistryTest, DroppedItemsAreNotNotified) {
 TEST(StatefulRegistryTest, WakeClearsRecordAndChargesControl) {
   Simulator sim;
   Channel ch(&sim, 1000.0);
-  StatefulRegistry reg(StatefulMode::kStateful, &ch, Sizes());
+  StatefulRegistry reg(StatefulMode::kStateful, Sizes());
+  reg.SetTransmitSink(
+      [&ch](uint64_t bits, TrafficClass cls) { ch.Transmit(bits, cls); });
   FakeClient c;
   const auto id = reg.RegisterClient(
       [&](ItemId i) { c.invalidated.push_back(i); },
@@ -107,7 +113,7 @@ TEST(StatefulRegistryTest, WakeClearsRecordAndChargesControl) {
 }
 
 TEST(StatefulRegistryTest, IdealIgnoresWakeSleepProtocol) {
-  StatefulRegistry reg(StatefulMode::kIdeal, nullptr, Sizes());
+  StatefulRegistry reg(StatefulMode::kIdeal, Sizes());
   FakeClient c;
   const auto id = reg.RegisterClient(
       [&](ItemId i) { c.invalidated.push_back(i); },
@@ -121,7 +127,7 @@ TEST(StatefulRegistryTest, IdealIgnoresWakeSleepProtocol) {
 }
 
 TEST(StatefulRegistryTest, MultipleHoldersAllNotified) {
-  StatefulRegistry reg(StatefulMode::kIdeal, nullptr, Sizes());
+  StatefulRegistry reg(StatefulMode::kIdeal, Sizes());
   FakeClient a, b;
   const auto ida = reg.RegisterClient(
       [&](ItemId i) { a.invalidated.push_back(i); }, [&] { return a.awake; });

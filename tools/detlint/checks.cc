@@ -85,7 +85,7 @@ constexpr std::array kWallClockCalls = {
 constexpr std::array kWallClockSanctionedFiles = {
     "src/util/wall_timer.h",   // the steady-clock wrapper itself
     "src/exp/sweep.cc",        // per-run wall-time diagnostics
-    "src/exp/megacell.cc",     // serial/shard/replay phase attribution
+    "src/exp/cell.cc",         // serial/shard/replay phase attribution
     "bench/bench_common.cc",   // bench harness timing
     "bench/megacell.cc",
     "bench/sleepers.cc",
@@ -115,7 +115,7 @@ constexpr size_t kEventFnInlineBytes = 48;
 /// phase-discipline: path prefixes whose code runs (or schedules work that
 /// runs) inside the parallel shard phase.
 constexpr std::array kShardPhasePrefixes = {
-    "src/exp/megacell.",  // the sharded cell (.cc and .h)
+    "src/exp/cell.",      // the sharded cell (.cc and .h)
     "src/mu/",            // mobile units run inside shard simulators
 };
 
@@ -125,9 +125,8 @@ constexpr std::array kShardPhasePrefixes = {
 /// Control-plane calls (Start/Stop/ResetStats/SetDeliverySink/...) are not
 /// listed: wiring happens before the gang exists.
 constexpr std::array kServerPhaseMutators = {
-    "Broadcast",          "Deliver",         "ConsumeDelivery",
-    "FanOutReport",       "AcquireReportSlot", "AccountUplinkQuery",
-    "SettleUnitStats",    "AttachUnit",
+    "Broadcast",         "Deliver",           "ConsumeDelivery",
+    "AcquireReportSlot", "AccountUplinkQuery",
 };
 
 /// phase-discipline: the sanctioned crossings — functions that run strictly
@@ -135,7 +134,7 @@ constexpr std::array kServerPhaseMutators = {
 /// server. This is the ONLY place shard-side state may reach server-owned
 /// mutators.
 constexpr std::array kPhaseSanctionedCrossings = {
-    HotRoot{"MegaCell", "ReplayWindow"},
+    HotRoot{"Cell", "ReplayWindow"},
 };
 
 /// retention-discipline: the raw-journal readers. Outside the database
@@ -619,7 +618,7 @@ void CheckPhaseDiscipline(const RepoIndex& repo, std::vector<Finding>* out) {
       emit("phase-discipline", call.line,
            "shard-phase code calls server-owned mutator `" + call.name +
                "(...)`; the serial server phase owns that state, and the "
-               "barrier replay (MegaCell::ReplayWindow) is the only "
+               "barrier replay (Cell::ReplayWindow) is the only "
                "sanctioned crossing. Log the event in the shard and replay "
                "it after the barrier.");
     }

@@ -42,9 +42,9 @@
 //                           fit EventFn's 48-byte inline buffer; default
 //                           captures ([=]/[&]) defeat the estimate and are
 //                           findings outright.
-//   phase-discipline        shard-phase code (src/exp/megacell.cc, src/mu/)
+//   phase-discipline        shard-phase code (src/exp/cell.cc, src/mu/)
 //                           may not call server-owned per-interval mutators;
-//                           the barrier replay (MegaCell::ReplayWindow) is
+//                           the barrier replay (Cell::ReplayWindow) is
 //                           the only sanctioned crossing.
 //   retention-discipline    JournalIn/VersionAt call sites outside the
 //                           database itself must sit in a function that

@@ -176,7 +176,7 @@ class Parser {
         !IsReservedWord(t_[j].text)) {
       name = t_[j].text;
       ++j;
-      // `struct MegaCell::Shard { ... }` — the innermost component names
+      // `struct Cell::Shard { ... }` — the innermost component names
       // the class, matching FunctionDef::cls.
       while (j + 1 < end && IsPunct(t_[j], "::") &&
              t_[j + 1].kind == Token::Kind::kIdent) {

@@ -58,7 +58,7 @@ struct FunctionDef {
   std::string name;
   /// Owning class: the innermost enclosing class for inline members, the
   /// explicit qualifier for out-of-line `Class::Method` definitions (only
-  /// the last component: `MegaCell::Shard::FanOut` records "Shard").
+  /// the last component: `Cell::Shard::FanOut` records "Shard").
   /// Empty for free functions.
   std::string cls;
   int line = 0;

@@ -1,5 +1,5 @@
 // Fixture: phase-discipline. Code that runs inside the parallel shard
-// phase (mu/ and the megacell shard loop) must not touch server-owned
+// phase (mu/ and the cell's shard loop) must not touch server-owned
 // mutators — that would race the serial server phase, or diverge from the
 // single-threaded replay order. Both spellings are caught: a typed
 // receiver and an explicit Server:: qualifier.
@@ -13,7 +13,7 @@ void MobileUnit::ReportDirectly(Server* server, const UplinkQueryInfo& info) {
 
 void MobileUnit::DrainDirectly(Server& server, uint64_t interval) {
   server.Broadcast(interval);  // detlint:expect(phase-discipline)
-  Server::SettleUnitStats();   // detlint:expect(phase-discipline)
+  Server::ConsumeDelivery();   // detlint:expect(phase-discipline)
 }
 
 }  // namespace mobicache

@@ -1,5 +1,5 @@
 // Fixture: phase-discipline, clean twin. Shard-phase code logs locally;
-// the barrier replay (MegaCell::ReplayWindow) is the sanctioned crossing
+// the barrier replay (Cell::ReplayWindow) is the sanctioned crossing
 // that applies the merged shard logs to the server, and a reviewed helper
 // may opt in with a function-level allow.
 // detlint:pretend(src/mu/phase_good.cc)
@@ -10,15 +10,15 @@ void MobileUnit::ReportLocally(const UplinkQueryInfo& info) {
   log_->Append(info);  // shard-local: legal
 }
 
-void MegaCell::ReplayWindow(Server* server) {
+void Cell::ReplayWindow(Server* server) {
   for (const LogRecord& rec : merged_) {
     server->AccountUplinkQuery(rec.info);  // the sanctioned crossing
   }
 }
 
-void MegaCell::SettleAfterBarrier(Server* server) {
+void Cell::ReplayAfterBarrier(Server* server, const UplinkQueryInfo& info) {
   // detlint:allow-function(phase-discipline) reviewed post-barrier helper
-  server->SettleUnitStats();
+  server->AccountUplinkQuery(info);
 }
 
 }  // namespace mobicache
