@@ -5,7 +5,13 @@
 // emits BENCH_megacell.json with per-run wall time, events/sec, the
 // per-phase walls (server, shard critical path, barrier replay-merge — plus
 // the replay's share of the run, the number the loser-tree merge targets),
-// and the per-shard wall-time breakdown.
+// the per-shard wall-time breakdown, and the process's peak resident memory.
+//
+// peak_rss_mb is the process high-water mark (getrusage's ru_maxrss, the
+// kernel's VmHWM) read after the row, so it only ever grows across rows: a
+// row reads its own peak when no earlier row peaked higher. The default
+// ascending --units list gives each new size its own reading; run one size
+// per process for a clean reading of every shard count.
 //
 // The ISSUE's speedup criterion (>= 3x at shards=4 vs shards=1) applies to
 // hosts with >= 4 hardware threads; the record always stores
@@ -14,6 +20,8 @@
 //
 //   megacell [--units=1000,10000,100000,1000000] [--shards=1,2,4]
 //            [--warmup=N] [--measure=N] [--seed=N] [--json=PATH]
+
+#include <sys/resource.h>
 
 #include <cerrno>
 #include <chrono>
@@ -52,6 +60,8 @@ struct RunRecord {
   uint64_t queries_answered = 0;
   double speedup_vs_shards1 = 0.0;
   bool matches_shards1 = true;
+  /// Process peak resident set after this row, in MB (see file comment).
+  double peak_rss_mb = 0.0;
 };
 
 struct BenchArgs {
@@ -134,6 +144,14 @@ CellConfig MakeConfig(uint64_t units, uint64_t seed) {
   return cc;
 }
 
+/// The process's peak resident set size so far, in MB (Linux reports
+/// ru_maxrss in KiB).
+double PeakRssMb() {
+  struct rusage usage {};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0.0;
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
 std::string Num(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
@@ -172,7 +190,7 @@ void WriteJson(const BenchArgs& args, const std::vector<RunRecord>& runs,
        << ", \"queries_answered\": " << r.queries_answered
        << ", \"speedup_vs_shards1\": " << Num(r.speedup_vs_shards1)
        << ", \"matches_shards1\": " << (r.matches_shards1 ? "true" : "false")
-       << "}";
+       << ", \"peak_rss_mb\": " << Num(r.peak_rss_mb) << "}";
   }
   os << (runs.empty() ? "]" : "\n  ]") << "\n}\n";
 }
@@ -234,6 +252,7 @@ int Main(int argc, char** argv) {
       for (const CellShardStats& ss : cell.shard_stats()) {
         rec.shard_wall_seconds.push_back(ss.wall_seconds);
       }
+      rec.peak_rss_mb = PeakRssMb();
       rec.hit_ratio = result.hit_ratio;
       rec.queries_answered = result.queries_answered;
       if (!have_baseline) {
@@ -264,11 +283,12 @@ int Main(int argc, char** argv) {
       }
       std::printf(
           "units=%-8llu shards=%-2u build %6.2fs  run %7.2fs  %.3g events/s  "
-          "server %6.2fs  replay %4.1f%%  speedup %.2fx  h=%.4f%s\n",
+          "server %6.2fs  replay %4.1f%%  speedup %.2fx  h=%.4f  "
+          "peak %.0f MB%s\n",
           static_cast<unsigned long long>(units), rec.shards,
           rec.build_seconds, rec.run_seconds, rec.events_per_sec,
           rec.server_wall_seconds, 100.0 * rec.replay_share,
-          rec.speedup_vs_shards1, rec.hit_ratio,
+          rec.speedup_vs_shards1, rec.hit_ratio, rec.peak_rss_mb,
           rec.matches_shards1 ? "" : "  [MISMATCH]");
       std::fflush(stdout);
       runs.push_back(std::move(rec));

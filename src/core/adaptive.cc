@@ -296,26 +296,21 @@ uint64_t AdaptiveTsClientManager::OnReport(const Report& report,
   mentioned.reserve(ats.entries.size());
   for (const TsReportEntry& e : ats.entries) mentioned[e.id] = e.updated_at;
 
-  victims_.clear();
-  cache->ForEachItem([&](ItemId id, const CacheEntry& entry) {
-    auto it = mentioned.find(id);
-    if (it != mentioned.end()) {
-      // Member scratch, capacity retained. detlint:allow(alloc-event-path)
-      if (entry.timestamp < it->second) victims_.push_back(id);
-      return;
-    }
-    // Silence proves validity only if the copy is young enough that any
-    // change since its stamp would have appeared in this report's window.
-    const double window_secs =
-        latency_ * static_cast<double>(KnownWindowOf(id));
-    if (entry.timestamp < ats.timestamp - window_secs) {
-      // Member scratch, capacity retained. detlint:allow(alloc-event-path)
-      victims_.push_back(id);
-      ++staleness_drops_;
-    }
-  });
-  for (ItemId id : victims_) cache->Erase(id);
-  const uint64_t invalidated = victims_.size();
+  const uint64_t invalidated =
+      cache->EraseIf([&](ItemId id, const CacheEntry& entry) {
+        auto it = mentioned.find(id);
+        if (it != mentioned.end()) return entry.timestamp < it->second;
+        // Silence proves validity only if the copy is young enough that
+        // any change since its stamp would have appeared in this report's
+        // window.
+        const double window_secs =
+            latency_ * static_cast<double>(KnownWindowOf(id));
+        if (entry.timestamp < ats.timestamp - window_secs) {
+          ++staleness_drops_;
+          return true;
+        }
+        return false;
+      });
   // Every survivor — mentioned with an older report stamp or vouched for by
   // silence — is revalidated through the report time.
   cache->ValidateAllThrough(ats.timestamp);

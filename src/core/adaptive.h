@@ -154,7 +154,6 @@ class AdaptiveTsClientManager : public ClientCacheManager {
   std::unordered_map<ItemId, std::vector<SimTime>> pending_hits_;
   bool heard_any_ = false;
   uint64_t staleness_drops_ = 0;
-  std::vector<ItemId> victims_;  // scratch, reused across reports
 };
 
 }  // namespace mobicache

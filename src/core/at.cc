@@ -67,16 +67,9 @@ uint64_t AtClientManager::OnReport(const Report& report, ClientCache* cache) {
     if (CacheDrivenScanPays(at.ids.size(), cache->size())) {
       // Report dwarfs the cache: binary-search the id-sorted report per
       // cached item instead of probing the cache per reported id.
-      victims_.clear();
-      cache->ForEachItem([&](ItemId id, const CacheEntry&) {
-        if (std::binary_search(at.ids.begin(), at.ids.end(), id)) {
-          // Member scratch, capacity retained across reports.
-          // detlint:allow(alloc-event-path)
-          victims_.push_back(id);
-        }
+      invalidated = cache->EraseIf([&](ItemId id, const CacheEntry&) {
+        return std::binary_search(at.ids.begin(), at.ids.end(), id);
       });
-      for (ItemId id : victims_) cache->Erase(id);
-      invalidated = victims_.size();
     } else {
       for (ItemId id : at.ids) {
         if (cache->Erase(id)) ++invalidated;

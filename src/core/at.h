@@ -50,7 +50,6 @@ class AtClientManager : public ClientCacheManager {
   // rules but stamps validity differently.
   bool heard_any_ = false;
   uint64_t last_interval_ = 0;
-  std::vector<ItemId> victims_;  // scratch, reused across reports
 };
 
 }  // namespace mobicache

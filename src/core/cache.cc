@@ -1,193 +1,205 @@
 #include "core/cache.h"
 
-#include <algorithm>
+#include <cassert>
+#include <cstring>
 
 namespace mobicache {
 
-uint32_t ClientCache::FindSlot(ItemId id) const {
-  if (slots_.empty()) return kNil;
-  uint32_t i = Home(id);
-  while (slots_[i].used) {
-    if (slots_[i].key == id) return i;
-    i = (i + 1) & mask_;
-  }
-  return kNil;
+namespace {
+size_t WordsFor(size_t positions) { return (positions + 63) / 64; }
+}  // namespace
+
+std::unique_ptr<std::byte[]> ClientCache::NewBlock(uint32_t slots) const {
+  const size_t bytes =
+      slots * sizeof(CacheEntry) + WordsFor(slots) * sizeof(uint64_t) +
+      (capacity_ != 0 ? slots * sizeof(LruLink) : 0) +
+      (private_domain_ ? slots * sizeof(ItemId) : 0);
+  // Value-initialized: every presence word starts clear.
+  return std::make_unique<std::byte[]>(bytes);
 }
 
-const CacheEntry* ClientCache::Peek(ItemId id) const {
-  const uint32_t i = FindSlot(id);
-  if (i == kNil) return nullptr;
-  Fold(slots_[i]);
-  return &slots_[i].entry;
+ClientCache::ClientCache(size_t capacity)
+    : capacity_(capacity), slots_(8), private_domain_(true) {
+  block_ = NewBlock(slots_);
+  domain_ = std::span<const ItemId>(own_ids(), 0);
+}
+
+ClientCache::ClientCache(std::span<const ItemId> domain, size_t capacity)
+    : domain_(domain),
+      capacity_(capacity),
+      slots_(static_cast<uint32_t>(domain.size())) {
+  assert(std::is_sorted(domain.begin(), domain.end()));
+  assert(std::adjacent_find(domain.begin(), domain.end()) == domain.end());
+  block_ = NewBlock(slots_);
 }
 
 const CacheEntry* ClientCache::Get(ItemId id) {
-  const uint32_t i = FindSlot(id);
-  if (i == kNil) return nullptr;
-  Fold(slots_[i]);
-  Touch(i);
-  return &slots_[i].entry;
+  const uint32_t p = PresentPosition(id);
+  if (p == kNoDomainPosition) return nullptr;
+  if (capacity_ != 0 && lru_head_ != p) {
+    Unlink(p);
+    LinkFront(p);
+  }
+  return &entries()[p];
 }
 
-void ClientCache::LinkFront(uint32_t i) {
-  slots_[i].lru_prev = kNil;
-  slots_[i].lru_next = lru_head_;
-  if (lru_head_ != kNil) slots_[lru_head_].lru_prev = i;
-  lru_head_ = i;
-  if (lru_tail_ == kNil) lru_tail_ = i;
+void ClientCache::LinkFront(uint32_t p) {
+  LruLink* lru = this->lru();
+  lru[p].prev = kNoDomainPosition;
+  lru[p].next = lru_head_;
+  if (lru_head_ != kNoDomainPosition) lru[lru_head_].prev = p;
+  lru_head_ = p;
+  if (lru_tail_ == kNoDomainPosition) lru_tail_ = p;
 }
 
-void ClientCache::Unlink(uint32_t i) {
-  const uint32_t prev = slots_[i].lru_prev;
-  const uint32_t next = slots_[i].lru_next;
-  if (prev != kNil) slots_[prev].lru_next = next;
+void ClientCache::Unlink(uint32_t p) {
+  LruLink* lru = this->lru();
+  const uint32_t prev = lru[p].prev;
+  const uint32_t next = lru[p].next;
+  if (prev != kNoDomainPosition) lru[prev].next = next;
   else lru_head_ = next;
-  if (next != kNil) slots_[next].lru_prev = prev;
+  if (next != kNoDomainPosition) lru[next].prev = prev;
   else lru_tail_ = prev;
 }
 
-void ClientCache::EnsureTable() {
-  // One-time table construction on the first Put; every later call returns
-  // at the emptiness check. detlint:allow-function(alloc-event-path)
-  if (!slots_.empty()) return;
-  size_t want = 16;
+uint32_t ClientCache::GrowDomain(ItemId id) {
+  // Only caches without a hot-spot domain (tests, micro-benchmarks) or a
+  // Put outside the bound domain reach this; a unit's cache is sized once
+  // at construction. detlint:allow-function(alloc-event-path)
+  const uint32_t n = static_cast<uint32_t>(domain_.size());
+  const uint32_t k = static_cast<uint32_t>(
+      std::lower_bound(domain_.begin(), domain_.end(), id) - domain_.begin());
+  if (!private_domain_ || n == slots_) {
+    // Move into a private block with doubling slack. Sections keep their
+    // contents; their offsets follow the new width.
+    const bool was_private = private_domain_;
+    const uint32_t old_slots = slots_;
+    std::unique_ptr<std::byte[]> old = std::move(block_);
+    const std::span<const ItemId> old_domain = domain_;
+    private_domain_ = true;
+    slots_ = std::max<uint32_t>(8, 2 * n);
+    block_ = NewBlock(slots_);
+    if (n != 0) {
+      const std::byte* src = old.get();
+      std::memcpy(entries(), src, n * sizeof(CacheEntry));
+      src += old_slots * sizeof(CacheEntry);
+      std::memcpy(present(), src, WordsFor(n) * sizeof(uint64_t));
+      src += WordsFor(old_slots) * sizeof(uint64_t);
+      if (capacity_ != 0) {
+        std::memcpy(lru(), src, n * sizeof(LruLink));
+        src += old_slots * sizeof(LruLink);
+      }
+      // A private domain's ids live in its own block; a bound one's are
+      // copied from the external list.
+      std::memcpy(own_ids(),
+                  was_private ? reinterpret_cast<const ItemId*>(src)
+                              : old_domain.data(),
+                  n * sizeof(ItemId));
+    }
+  }
+
+  // Shift positions >= k up by one and put `id` at k.
+  CacheEntry* entries = this->entries();
+  ItemId* ids = own_ids();
+  std::memmove(entries + k + 1, entries + k, (n - k) * sizeof(CacheEntry));
+  entries[k] = CacheEntry{};
+  std::memmove(ids + k + 1, ids + k, (n - k) * sizeof(ItemId));
+  ids[k] = id;
+  domain_ = std::span<const ItemId>(ids, n + 1);
+
+  uint64_t* present = this->present();
+  const size_t kw = k / 64;
+  for (size_t w = WordsFor(n + 1) - 1; w > kw; --w) {
+    present[w] = (present[w] << 1) | (present[w - 1] >> 63);
+  }
+  const uint64_t low = (uint64_t{1} << (k % 64)) - 1;
+  present[kw] = (present[kw] & low) | ((present[kw] & ~low) << 1);
+
   if (capacity_ != 0) {
-    // Size the table once so a full cache stays under 3/4 load.
-    const size_t need = capacity_ + capacity_ / 3 + 2;
-    while (want < need) want <<= 1;
+    LruLink* lru = this->lru();
+    std::memmove(lru + k + 1, lru + k, (n - k) * sizeof(LruLink));
+    const auto renumber = [k](uint32_t& link) {
+      if (link != kNoDomainPosition && link >= k) ++link;
+    };
+    for (uint32_t p = 0; p <= n; ++p) {
+      if (p == k) continue;
+      renumber(lru[p].prev);
+      renumber(lru[p].next);
+    }
+    renumber(lru_head_);
+    renumber(lru_tail_);
   }
-  slots_.assign(want, Slot{});
-  mask_ = static_cast<uint32_t>(want - 1);
-}
-
-void ClientCache::Grow() { Rehash(slots_.size() * 2); }
-
-void ClientCache::Rehash(size_t new_size) {
-  // Amortized doubling growth; a bounded cache (every paper configuration)
-  // sizes its table once in EnsureTable and never reaches this.
-  // detlint:allow-function(alloc-event-path)
-  struct Saved {
-    ItemId key;
-    CacheEntry entry;
-    uint64_t seq;
-  };
-  std::vector<Saved> saved;
-  saved.reserve(size_);
-  // Tail-to-head so that reinserting with LinkFront recreates the order.
-  for (uint32_t i = lru_tail_; i != kNil; i = slots_[i].lru_prev)
-    saved.push_back({slots_[i].key, slots_[i].entry, slots_[i].seq});
-  slots_.assign(new_size, Slot{});
-  mask_ = static_cast<uint32_t>(new_size - 1);
-  lru_head_ = lru_tail_ = kNil;
-  size_ = 0;
-  for (const Saved& s : saved) {
-    const uint32_t i = InsertFresh(s.key);
-    slots_[i].entry = s.entry;
-    slots_[i].seq = s.seq;
-    LinkFront(i);
-    ++size_;
-  }
-}
-
-uint32_t ClientCache::InsertFresh(ItemId id) {
-  uint32_t i = Home(id);
-  while (slots_[i].used) i = (i + 1) & mask_;
-  slots_[i].used = true;
-  slots_[i].key = id;
-  return i;
+  return k;
 }
 
 void ClientCache::Put(ItemId id, uint64_t value, SimTime timestamp) {
-  EnsureTable();
-  uint32_t i = FindSlot(id);
-  if (i != kNil) {
-    slots_[i].entry = CacheEntry{value, timestamp};
-    slots_[i].seq = ++op_seq_;
-    Touch(i);
+  uint32_t p = DomainPosition(domain_, id);
+  if (p == kNoDomainPosition) p = GrowDomain(id);
+  entries()[p] = CacheEntry{value, timestamp};
+  if (IsPresent(p)) {
+    if (capacity_ != 0 && lru_head_ != p) {
+      Unlink(p);
+      LinkFront(p);
+    }
     return;
   }
-  if (capacity_ != 0 && size_ >= capacity_) {
-    EraseSlot(lru_tail_);
-    ++lru_evictions_;
+  if (capacity_ != 0) {
+    if (size_ >= capacity_) {
+      ErasePosition(lru_tail_);
+      ++lru_evictions_;
+    }
+    LinkFront(p);
   }
-  if ((size_ + 1) * 4 > slots_.size() * 3) Grow();
-  i = InsertFresh(id);
-  slots_[i].entry = CacheEntry{value, timestamp};
-  slots_[i].seq = ++op_seq_;
-  LinkFront(i);
+  present()[p >> 6] |= uint64_t{1} << (p & 63);
   ++size_;
 }
 
 bool ClientCache::SetTimestamp(ItemId id, SimTime timestamp) {
-  const uint32_t i = FindSlot(id);
-  if (i == kNil) return false;
-  slots_[i].entry.timestamp = timestamp;
-  slots_[i].seq = ++op_seq_;
+  const uint32_t p = PresentPosition(id);
+  if (p == kNoDomainPosition) return false;
+  entries()[p].timestamp = timestamp;
   return true;
 }
 
 void ClientCache::ValidateAllThrough(SimTime timestamp) {
-  if (timestamp < validated_through_) {
-    // Watermarks only move forward in the simulation; if one ever moves
-    // back, pin the old guarantee into the entries it covered first.
-    for (Slot& slot : slots_)
-      if (slot.used) Fold(slot);
+  const uint64_t* words = present();
+  CacheEntry* entries = this->entries();
+  for (size_t w = 0; w < present_words(); ++w) {
+    for (uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+      CacheEntry& e =
+          entries[w * 64 + static_cast<size_t>(std::countr_zero(bits))];
+      if (e.timestamp < timestamp) e.timestamp = timestamp;
+    }
   }
-  validated_through_ = timestamp;
-  validate_seq_ = op_seq_;
 }
 
 bool ClientCache::Erase(ItemId id) {
-  const uint32_t i = FindSlot(id);
-  if (i == kNil) return false;
-  EraseSlot(i);
+  const uint32_t p = PresentPosition(id);
+  if (p == kNoDomainPosition) return false;
+  ErasePosition(p);
   return true;
 }
 
-void ClientCache::EraseSlot(uint32_t i) {
-  Unlink(i);
+void ClientCache::ErasePosition(uint32_t p) {
+  present()[p >> 6] &= ~(uint64_t{1} << (p & 63));
+  if (capacity_ != 0) Unlink(p);
   --size_;
-  uint32_t j = i;
-  while (true) {
-    slots_[i] = Slot{};
-    while (true) {
-      j = (j + 1) & mask_;
-      if (!slots_[j].used) return;
-      const uint32_t home = Home(slots_[j].key);
-      // Slot j may fill the hole at i iff its home position is not
-      // cyclically within (i, j] — otherwise the probe chain would break.
-      const bool movable =
-          (i <= j) ? (home <= i || home > j) : (home <= i && home > j);
-      if (movable) break;
-    }
-    const Slot moved = slots_[j];
-    if (moved.lru_prev != kNil) slots_[moved.lru_prev].lru_next = i;
-    else lru_head_ = i;
-    if (moved.lru_next != kNil) slots_[moved.lru_next].lru_prev = i;
-    else lru_tail_ = i;
-    slots_[i] = moved;
-    i = j;
-  }
 }
 
 void ClientCache::Clear() {
-  if (size_ != 0) std::fill(slots_.begin(), slots_.end(), Slot{});
+  std::fill_n(present(), present_words(), 0);
   size_ = 0;
-  lru_head_ = kNil;
-  lru_tail_ = kNil;
-  validated_through_ = 0.0;
-  validate_seq_ = 0;
+  lru_head_ = kNoDomainPosition;
+  lru_tail_ = kNoDomainPosition;
 }
 
 std::vector<ItemId> ClientCache::Items() const {
-  // Snapshot API: returns a fresh sorted id list by contract; callers that
-  // need an allocation-free walk use ForEachItem instead.
+  // Snapshot API: returns a fresh id list by contract; callers that need an
+  // allocation-free walk use ForEachItem instead.
   // detlint:allow-function(alloc-event-path)
   std::vector<ItemId> out;
   out.reserve(size_);
-  for (const Slot& slot : slots_)
-    if (slot.used) out.push_back(slot.key);
-  std::sort(out.begin(), out.end());
+  ForEachItem([&](ItemId id, const CacheEntry&) { out.push_back(id); });
   return out;
 }
 

@@ -128,16 +128,17 @@ uint64_t QuasiAtClientManager::OnReport(const Report& report,
     // report is re-stamped now — it survived a report whose obligations had
     // matured, so the server vouched for it afresh. Younger copies keep
     // their original stamp so their true age stays visible. (Selective
-    // re-stamping means the cache-wide watermark does not apply here.)
-    restamp_.clear();
+    // re-stamping, so the cache-wide ValidateAllThrough does not apply.)
+    std::vector<ItemId>& restamp = ThreadIdScratch();
+    restamp.clear();
     cache->ForEachItem([&](ItemId id, const CacheEntry& entry) {
       if (at.timestamp - entry.timestamp > alpha_ - latency_) {
-        // Member scratch, capacity retained across reports.
+        // Per-thread scratch, capacity retained across reports.
         // detlint:allow(alloc-event-path)
-        restamp_.push_back(id);
+        restamp.push_back(id);
       }
     });
-    for (ItemId id : restamp_) cache->SetTimestamp(id, at.timestamp);
+    for (ItemId id : restamp) cache->SetTimestamp(id, at.timestamp);
   }
 
   heard_any_ = true;

@@ -119,7 +119,6 @@ class QuasiAtClientManager : public AtClientManager {
  private:
   SimTime alpha_;
   SimTime latency_;
-  std::vector<ItemId> restamp_;  // scratch, reused across reports
 };
 
 /// AT with the arithmetic condition over NumericWalk values: an item enters

@@ -95,17 +95,10 @@ uint64_t GroupedAtClientManager::OnReport(const Report& report,
     invalidated = cache->size();
     cache->Clear();
   } else {
-    victims_.clear();
-    cache->ForEachItem([&](ItemId id, const CacheEntry&) {
-      if (std::binary_search(gat.groups.begin(), gat.groups.end(),
-                             grouping_.GroupOf(id))) {
-        // Member scratch, capacity retained across reports.
-        // detlint:allow(alloc-event-path)
-        victims_.push_back(id);
-      }
+    invalidated = cache->EraseIf([&](ItemId id, const CacheEntry&) {
+      return std::binary_search(gat.groups.begin(), gat.groups.end(),
+                                grouping_.GroupOf(id));
     });
-    for (ItemId id : victims_) cache->Erase(id);
-    invalidated = victims_.size();
     cache->ValidateAllThrough(gat.timestamp);
   }
 

@@ -78,7 +78,6 @@ class GroupedAtClientManager : public ClientCacheManager {
   ItemGrouping grouping_;
   bool heard_any_ = false;
   uint64_t last_interval_ = 0;
-  std::vector<ItemId> victims_;  // scratch, reused across reports
 };
 
 }  // namespace mobicache

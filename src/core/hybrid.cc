@@ -162,28 +162,23 @@ uint64_t HybridSigClientManager::OnReport(const Report& report,
   // cache — the cold part revalidates from signatures regardless.
   const bool missed_one =
       !heard_any_ || hybrid.interval > last_interval_ + 1;
-  hot_victims_.clear();
-  cold_cached_.clear();
-  cache->ForEachItem([&](ItemId id, const CacheEntry&) {
-    if (IsHot(id)) {
-      const bool drop =
-          missed_one || std::binary_search(hybrid.hot_ids.begin(),
-                                           hybrid.hot_ids.end(), id);
-      // Both lists are member scratch with capacity retained across
-      // reports. detlint:allow(alloc-event-path)
-      if (drop) hot_victims_.push_back(id);
-    } else {
-      cold_cached_.push_back(id);  // detlint:allow(alloc-event-path) member scratch
-    }
+  invalidated += cache->EraseIf([&](ItemId id, const CacheEntry&) {
+    return IsHot(id) &&
+           (missed_one || std::binary_search(hybrid.hot_ids.begin(),
+                                             hybrid.hot_ids.end(), id));
   });
-  for (ItemId id : hot_victims_) cache->Erase(id);
-  invalidated += hot_victims_.size();
-  // Sorted ids let the diagnosis walk its interest masks in one pass, and
-  // erasing in id order keeps the cache independent of its slot layout.
-  std::sort(cold_cached_.begin(), cold_cached_.end());
+  // The cache visits ids in ascending order, which is the sorted list the
+  // diagnosis walks its interest masks with in one pass.
+  std::vector<ItemId>& cold_cached = ThreadIdScratch();
+  cold_cached.clear();
+  cache->ForEachItem([&](ItemId id, const CacheEntry&) {
+    // Per-thread scratch, capacity retained across reports.
+    // detlint:allow(alloc-event-path)
+    if (!IsHot(id)) cold_cached.push_back(id);
+  });
 
   // Cold half: syndrome diagnosis against the cold-only signatures.
-  for (ItemId id : view_.DiagnoseAndAdopt(hybrid.combined, cold_cached_)) {
+  for (ItemId id : view_.DiagnoseAndAdopt(hybrid.combined, cold_cached)) {
     cache->Erase(id);
     ++invalidated;
   }

@@ -90,8 +90,6 @@ class HybridSigClientManager : public ClientCacheManager {
   ClientSignatureView view_;  // over the cold part of the interest set
   bool heard_any_ = false;
   uint64_t last_interval_ = 0;
-  std::vector<ItemId> hot_victims_;  // scratch, reused across reports
-  std::vector<ItemId> cold_cached_;  // scratch, reused across reports
 };
 
 }  // namespace mobicache

@@ -100,18 +100,18 @@ SigClientManager::SigClientManager(const SignatureFamily* family,
 
 uint64_t SigClientManager::OnReport(const Report& report, ClientCache* cache) {
   const auto& sig = std::get<SigReport>(report);
-  // Collect the cached ids in place and sort them: the diagnosis walks its
-  // interest masks in one pass over a sorted list, and erasing in id order
-  // keeps the cache's evolution independent of its slot layout.
-  cached_.clear();
+  // Collect the cached ids: the cache visits them in ascending order, which
+  // is the sorted list the diagnosis walks its interest masks with in one
+  // pass.
+  std::vector<ItemId>& cached = ThreadIdScratch();
+  cached.clear();
   cache->ForEachItem([&](ItemId id, const CacheEntry&) {
-    // Member scratch, capacity retained across reports.
+    // Per-thread scratch, capacity retained across reports.
     // detlint:allow(alloc-event-path)
-    cached_.push_back(id);
+    cached.push_back(id);
   });
-  std::sort(cached_.begin(), cached_.end());
   const std::vector<ItemId>& invalid =
-      view_.DiagnoseAndAdopt(sig.combined, cached_);
+      view_.DiagnoseAndAdopt(sig.combined, cached);
   for (ItemId id : invalid) cache->Erase(id);
   cache->ValidateAllThrough(sig.timestamp);
   return invalid.size();

@@ -76,7 +76,6 @@ class SigClientManager : public ClientCacheManager {
 
  private:
   ClientSignatureView view_;
-  std::vector<ItemId> cached_;  // OnReport scratch, reused across reports
 };
 
 }  // namespace mobicache

@@ -38,6 +38,11 @@ std::string_view StrategyName(StrategyKind kind) {
   return "unknown";
 }
 
+std::vector<ItemId>& ThreadIdScratch() {
+  thread_local std::vector<ItemId> scratch;
+  return scratch;
+}
+
 void ClientCacheManager::OnUplinkFetch(ItemId id, uint64_t value,
                                        SimTime server_time,
                                        ClientCache* cache) {

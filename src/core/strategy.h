@@ -52,6 +52,11 @@ inline bool CacheDrivenScanPays(size_t report_entries, size_t cached_items) {
   return report_entries > 4 * cached_items + 8;
 }
 
+/// Per-thread id buffer for a client manager's report application, so no
+/// unit carries scratch of its own between reports. Clear it before use and
+/// do not hold it across calls: every manager on the thread shares it.
+std::vector<ItemId>& ThreadIdScratch();
+
 /// Per-query feedback delivered to the server with an uplink request.
 /// `local_hit_times` is Method-1 piggyback data (§8.1): the timestamps of
 /// queries on this item that were answered locally since the previous uplink

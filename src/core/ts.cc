@@ -121,20 +121,13 @@ uint64_t TsClientManager::OnReport(const Report& report, ClientCache* cache) {
     if (CacheDrivenScanPays(ts.entries.size(), cache->size())) {
       // Report dwarfs the cache: binary-search the id-sorted report once
       // per cached item instead of probing the cache per report entry.
-      victims_.clear();
-      cache->ForEachItem([&](ItemId id, const CacheEntry& entry) {
+      invalidated = cache->EraseIf([&](ItemId id, const CacheEntry& entry) {
         auto it = std::lower_bound(
             ts.entries.begin(), ts.entries.end(), id,
             [](const TsReportEntry& e, ItemId v) { return e.id < v; });
-        if (it != ts.entries.end() && it->id == id &&
-            entry.timestamp < it->updated_at) {
-          // Member scratch, capacity retained across reports.
-          // detlint:allow(alloc-event-path)
-          victims_.push_back(id);
-        }
+        return it != ts.entries.end() && it->id == id &&
+               entry.timestamp < it->updated_at;
       });
-      for (ItemId id : victims_) cache->Erase(id);
-      invalidated = victims_.size();
     } else {
       for (const TsReportEntry& entry : ts.entries) {
         const CacheEntry* cached = cache->Peek(entry.id);

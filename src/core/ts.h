@@ -82,7 +82,6 @@ class TsClientManager : public ClientCacheManager {
   uint64_t window_intervals_;
   bool heard_any_ = false;
   uint64_t last_interval_ = 0;
-  std::vector<ItemId> victims_;  // scratch, reused across reports
 };
 
 }  // namespace mobicache

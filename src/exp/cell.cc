@@ -285,26 +285,29 @@ Status Cell::Build() {
     shards_.push_back(std::move(shard));
   }
 
+  // One immutable hot spot serves every unit of a homogeneous cell; random
+  // and custom hot spots are one instance per unit.
   Rng hotspot_rng(hotspot_seed);
-  const std::vector<ItemId> shared =
-      ContiguousHotSpot(m.n, 0, cc.hotspot_size);
+  const std::shared_ptr<const HotSpot> shared =
+      cc.custom_hotspots.empty() && cc.shared_hotspot
+          ? MakeHotSpot(ContiguousHotSpot(m.n, 0, cc.hotspot_size))
+          : nullptr;
   uint64_t s = 0;
   for (uint64_t i = 0; i < cc.num_units; ++i) {
     while (i >= shard_offset_[s + 1]) ++s;
     Shard& sh = *shards_[s];
     const uint32_t local = static_cast<uint32_t>(i - shard_offset_[s]);
 
-    const std::vector<ItemId> hotspot =
-        !cc.custom_hotspots.empty()
-            ? cc.custom_hotspots[i]
-            : (cc.shared_hotspot
-                   ? shared
-                   : RandomHotSpot(m.n, cc.hotspot_size, hotspot_rng));
-
     MobileUnitConfig mc;
     mc.latency = m.L;
     mc.lambda_per_item = m.lambda;
-    mc.hotspot = hotspot;
+    if (shared != nullptr) {
+      mc.hotspot = shared;
+    } else if (!cc.custom_hotspots.empty()) {
+      mc.hotspot = MakeHotSpot(cc.custom_hotspots[i]);
+    } else {
+      mc.hotspot = MakeHotSpot(RandomHotSpot(m.n, cc.hotspot_size, hotspot_rng));
+    }
     mc.answer_immediately = stateful_mode_ || async_mode_;
     mc.cache_capacity = cc.cache_capacity;
     mc.unit_id = static_cast<uint32_t>(i);
@@ -328,9 +331,11 @@ Status Cell::Build() {
     shard_ctx.family = sig_strategy ? sh.family.get() : nullptr;
     shard_ctx.walk = walk_.get();
 
+    std::unique_ptr<ClientCacheManager> manager =
+        MakeClientManager(shard_ctx, mc.hotspot->ids());
     auto unit = std::make_unique<MobileUnit>(
-        &sh.sim, std::move(mc), MakeClientManager(shard_ctx, hotspot),
-        std::move(sleep), &sh.uplink, mu_seed);
+        &sh.sim, std::move(mc), std::move(manager), std::move(sleep),
+        &sh.uplink, mu_seed);
     if (stateful_mode_) {
       unit->BindStatefulRegistry(sh.registry.get(),
                                  cc.strategy == StrategyKind::kStateful);
@@ -349,9 +354,9 @@ Status Cell::Build() {
 void Cell::ReplayWindow() {
   // Quiet-interval accounting: a delivery was quiet when no shard's slice
   // heard it. A null report is an elided quiet interval — the server proved
-  // every unit sleeps through it, so it is both quiet and skipped. (The
-  // server's own counters stay zero in sharded mode — the delivery sink
-  // bypasses its fan-out.)
+  // every unit sleeps through it, so it is both quiet and skipped. These
+  // are the only quiet counters: the server hands every delivery to the
+  // sink and never fans out itself.
   for (size_t k = 0; k < pending_deliveries_.size(); ++k) {
     if (pending_deliveries_[k].report == nullptr) {
       ++quiet_report_intervals_;

@@ -2,9 +2,28 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <unordered_set>
+#include <utility>
 
 namespace mobicache {
+
+HotSpot::HotSpot(std::vector<ItemId> ids) : ids_(std::move(ids)) {
+  assert(!ids_.empty());
+  if (std::adjacent_find(ids_.begin(), ids_.end(), std::greater_equal<>()) ==
+      ids_.end()) {
+    return;  // strictly ascending: the draw list is the domain
+  }
+  sorted_ = ids_;
+  std::sort(sorted_.begin(), sorted_.end());
+  sorted_.erase(std::unique(sorted_.begin(), sorted_.end()), sorted_.end());
+  index_position_.reserve(ids_.size());
+  for (ItemId id : ids_) index_position_.push_back(PositionOf(id));
+}
+
+std::shared_ptr<const HotSpot> MakeHotSpot(std::vector<ItemId> ids) {
+  return std::make_shared<const HotSpot>(std::move(ids));
+}
 
 std::vector<ItemId> ContiguousHotSpot(uint64_t n, uint64_t start,
                                       uint64_t size) {

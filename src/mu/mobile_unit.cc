@@ -32,15 +32,14 @@ MobileUnit::MobileUnit(Simulator* sim, MobileUnitConfig config,
       sleep_(std::move(sleep)),
       uplink_(uplink),
       rng_(seed),
-      cache_(config_.cache_capacity) {
+      cache_(config_.hotspot->domain(), config_.cache_capacity) {
   assert(config_.latency > 0.0);
-  assert(!config_.hotspot.empty());
   assert(config_.lambda_per_item >= 0.0);
   total_query_rate_ =
-      config_.lambda_per_item * static_cast<double>(config_.hotspot.size());
+      config_.lambda_per_item * static_cast<double>(config_.hotspot->size());
   if (config_.query_zipf_theta > 0.0) {
     query_zipf_ = std::make_unique<ZipfDistribution>(
-        config_.hotspot.size(), config_.query_zipf_theta);
+        config_.hotspot->size(), config_.query_zipf_theta);
   }
 }
 
@@ -189,84 +188,74 @@ void MobileUnit::ScheduleNextTick(uint64_t interval) {
 namespace {
 
 /// Per-thread first-arrival table for GenerateIntervalArrivals, indexed by
-/// hot-spot position: `first[i]` is valid while bit i of `present` is set.
-/// Every interval drains the bits it set, so the table is clean between
-/// calls and can serve every unit a thread simulates; it grows once, to the
-/// largest hot spot seen, instead of costing per-unit memory.
+/// hot-spot domain position: `first[p]` is valid while bit p of `present`
+/// is set. Every interval drains the bits it set, so the table is clean
+/// between calls and can serve every unit a thread simulates; it grows
+/// once, to the largest hot spot seen, instead of costing per-unit memory.
 struct ArrivalScratch {
   std::vector<SimTime> first;
   std::vector<uint64_t> present;
 };
 
-ArrivalScratch& ArrivalScratchFor(size_t hotspot_size) {
+ArrivalScratch& ArrivalScratchFor(size_t domain_size) {
   thread_local ArrivalScratch scratch;
-  if (scratch.first.size() < hotspot_size) {
+  if (scratch.first.size() < domain_size) {
     // One-time growth per thread to the largest hot spot; steady-state
     // intervals reuse it. detlint:allow(alloc-event-path)
-    scratch.first.resize(hotspot_size);
+    scratch.first.resize(domain_size);
     // Same one-time growth. detlint:allow(alloc-event-path)
-    scratch.present.resize((hotspot_size + 63) / 64, 0);
+    scratch.present.resize((domain_size + 63) / 64, 0);
   }
   return scratch;
 }
 
 }  // namespace
 
+std::vector<MobileUnit::PendingBatch>& MobileUnit::EligibleScratch() {
+  thread_local std::vector<PendingBatch> scratch;
+  return scratch;
+}
+
 void MobileUnit::GenerateIntervalArrivals(SimTime interval_end) {
   if (total_query_rate_ <= 0.0) return;
   assert(arriving_.empty());
-  ArrivalScratch& scratch = ArrivalScratchFor(config_.hotspot.size());
+  const HotSpot& hotspot = *config_.hotspot;
+  const std::vector<ItemId>& domain = hotspot.domain();
+  ArrivalScratch& scratch = ArrivalScratchFor(domain.size());
   SimTime* first = scratch.first.data();
   uint64_t* present = scratch.present.data();
   // Identical draw sequence to the per-event path: exponential gap first;
   // if it lands in the interval, then the item pick — repeat. Arrival
   // timestamps accumulate gap by gap, reproducing the event clock bit for
-  // bit. Arrivals come in time order, so the first one per hot-spot index
+  // bit. Arrivals come in time order, so the first one per domain position
   // is the batch's first-arrival time (the std::map::emplace "first insert
-  // wins" rule).
+  // wins" rule) — also when a custom hot spot lists an id twice.
   SimTime t = sim_->Now();
   for (;;) {
     t += rng_.Exponential(total_query_rate_);
     if (t >= interval_end) break;
     const uint64_t index = query_zipf_ != nullptr
                                ? query_zipf_->Sample(rng_)
-                               : rng_.NextUint64(config_.hotspot.size());
+                               : rng_.NextUint64(hotspot.size());
     ++stats_.queries_issued;
-    const uint64_t bit = uint64_t{1} << (index & 63);
-    if ((present[index >> 6] & bit) == 0) {
-      present[index >> 6] |= bit;
-      first[index] = t;
+    const uint32_t p = hotspot.PositionOfIndex(index);
+    const uint64_t bit = uint64_t{1} << (p & 63);
+    if ((present[p >> 6] & bit) == 0) {
+      present[p >> 6] |= bit;
+      first[p] = t;
     }
   }
-  // Drain in ascending index order, which is ascending id order for the
-  // strictly ascending hot spots the factories build.
-  bool ascending = true;
-  const size_t words = (config_.hotspot.size() + 63) / 64;
+  // Drain in ascending position order, which is ascending id order.
+  const size_t words = (domain.size() + 63) / 64;
   for (size_t w = 0; w < words; ++w) {
     for (uint64_t bits = present[w]; bits != 0; bits &= bits - 1) {
-      const size_t index =
-          w * 64 + static_cast<size_t>(std::countr_zero(bits));
-      const ItemId id = config_.hotspot[index];
-      ascending = ascending && (arriving_.empty() || arriving_.back().id < id);
+      const size_t p = w * 64 + static_cast<size_t>(std::countr_zero(bits));
       // Warm batch storage recycled via spare_batches_; it grows only on
       // record intervals, to at most one entry per hot-spot item.
       // detlint:allow(alloc-event-path)
-      arriving_.push_back(PendingBatch{id, first[index]});
+      arriving_.push_back(PendingBatch{domain[p], first[p]});
     }
     present[w] = 0;
-  }
-  if (!ascending) {
-    // A custom hot spot out of order or with repeated ids: sort by id and
-    // keep the earliest arrival of each repeated id.
-    std::sort(arriving_.begin(), arriving_.end(),
-              [](const PendingBatch& a, const PendingBatch& b) {
-                return a.id != b.id ? a.id < b.id : a.first < b.first;
-              });
-    const auto same_id = [](const PendingBatch& a, const PendingBatch& b) {
-      return a.id == b.id;
-    };
-    arriving_.erase(std::unique(arriving_.begin(), arriving_.end(), same_id),
-                    arriving_.end());
   }
 }
 
@@ -277,26 +266,27 @@ void MobileUnit::OnReportDelivery(const Report& report) {
   // uplink request).
   const SimTime validity_ts = ReportTimestamp(report);
   const uint64_t interval = ReportInterval(report);
-  eligible_scratch_.clear();
+  std::vector<PendingBatch>& eligible = EligibleScratch();
+  eligible.clear();
   while (pending_head_ < pending_groups_.size() &&
          pending_groups_[pending_head_].answerable_from <= interval) {
     for (const PendingBatch& b : pending_groups_[pending_head_].batches) {
-      if (eligible_scratch_.empty() || eligible_scratch_.back().id < b.id) {
+      if (eligible.empty() || eligible.back().id < b.id) {
         // Ascending batches past the merged tail (the whole of a lone
-        // group) append without a search. Member scratch, capacity
+        // group) append without a search. Per-thread scratch, capacity
         // retained across reports. detlint:allow(alloc-event-path)
-        eligible_scratch_.push_back(b);
+        eligible.push_back(b);
         continue;
       }
       const auto it = std::lower_bound(
-          eligible_scratch_.begin(), eligible_scratch_.end(), b.id,
+          eligible.begin(), eligible.end(), b.id,
           [](const PendingBatch& e, ItemId v) { return e.id < v; });
-      if (it != eligible_scratch_.end() && it->id == b.id) {
+      if (it != eligible.end() && it->id == b.id) {
         if (b.first < it->first) it->first = b.first;
       } else {
-        // Member scratch, capacity retained across reports.
+        // Per-thread scratch, capacity retained across reports.
         // detlint:allow(alloc-event-path)
-        eligible_scratch_.insert(it, b);
+        eligible.insert(it, b);
       }
     }
     ++pending_head_;  // O(1) pop; storage reclaimed when the queue drains
@@ -314,7 +304,7 @@ void MobileUnit::OnReportDelivery(const Report& report) {
     pending_groups_.clear();
     pending_head_ = 0;
   }
-  for (const PendingBatch& b : eligible_scratch_) {
+  for (const PendingBatch& b : eligible) {
     AnswerBatch(b.id, b.first, validity_ts);
   }
 }
@@ -331,10 +321,10 @@ void MobileUnit::OnQueryArrival(SimTime interval_end) {
   // Only immediate-answer units take this path; report-driven arrivals are
   // generated in bulk at the interval tick (GenerateIntervalArrivals).
   assert(config_.answer_immediately);
+  const HotSpot& hotspot = *config_.hotspot;
   const ItemId item =
-      config_.hotspot[query_zipf_ != nullptr
-                          ? query_zipf_->Sample(rng_)
-                          : rng_.NextUint64(config_.hotspot.size())];
+      hotspot[query_zipf_ != nullptr ? query_zipf_->Sample(rng_)
+                                     : rng_.NextUint64(hotspot.size())];
   ++stats_.queries_issued;
   AnswerBatch(item, sim_->Now(), sim_->Now());
   ScheduleNextArrival(interval_end);

@@ -39,6 +39,7 @@
 #include "core/report.h"
 #include "core/stateful.h"
 #include "core/strategy.h"
+#include "mu/hotspot.h"
 #include "mu/sleep_model.h"
 #include "mu/wake_index.h"
 #include "mu/uplink_service.h"
@@ -51,7 +52,9 @@ namespace mobicache {
 struct MobileUnitConfig {
   SimTime latency = 10.0;          ///< L; must match the cell's broadcast.
   double lambda_per_item = 0.1;    ///< Query rate per hot-spot item.
-  std::vector<ItemId> hotspot;     ///< Items this unit queries.
+  /// Items this unit queries; shared read-only with every unit of a
+  /// homogeneous cell. Must be non-null.
+  std::shared_ptr<const HotSpot> hotspot;
   bool answer_immediately = false; ///< True for the stateful baselines.
   size_t cache_capacity = 0;       ///< 0 = unbounded.
   uint32_t unit_id = 0;            ///< Carried on uplink queries (stats only).
@@ -114,8 +117,9 @@ class MobileUnit {
   /// Publishes this unit's awake/asleep transitions into slot `slot` of a
   /// shared WakeIndex (see wake_index.h): every tick marks the slot awake,
   /// or asleep with the pre-computed wake tick the fast-forward scan
-  /// scheduled. The server aggregates the index for quiet-interval elision
-  /// and awake-set fan-out. Bind before Start().
+  /// scheduled. The owning shard walks the index's awake bitmap for report
+  /// fan-out, and the server reads its wake horizon for quiet-interval
+  /// elision. Bind before Start().
   void BindWakeIndex(WakeIndex* index, uint32_t slot);
 
   /// Earliest simulation time at which this unit can next be awake: now if
@@ -180,8 +184,8 @@ class MobileUnit {
   /// interarrival gaps and item picks in one loop, replicating the
   /// per-event engine's draw order (gap, then item) and arrival timestamps
   /// bit for bit. Each arrival is recorded in O(1) in a per-thread table
-  /// keyed by hot-spot index (first arrival wins); the interval's batches
-  /// then fill the empty `arriving_` in ascending-id order.
+  /// keyed by hot-spot domain position (first arrival wins); the interval's
+  /// batches then fill the empty `arriving_` in ascending-id order.
   void GenerateIntervalArrivals(SimTime interval_end);
   void ScheduleNextArrival(SimTime interval_end);
   void OnQueryArrival(SimTime interval_end);
@@ -207,6 +211,9 @@ class MobileUnit {
     ItemId id;
     SimTime first;
   };
+  /// Per-thread merge buffer for OnReportDelivery: cleared before every
+  /// use, so one buffer serves every unit a thread simulates.
+  static std::vector<PendingBatch>& EligibleScratch();
   /// Queries queued during interval i are sealed at tick i+1 and may only
   /// be answered by a report with interval index >= i+1 (a report reflects
   /// updates up to its own T_i only — this matters when report airtime or
@@ -226,11 +233,10 @@ class MobileUnit {
   /// costs O(groups) total instead of the O(groups^2) a front-erase would.
   std::vector<SealedGroup> pending_groups_;
   size_t pending_head_ = 0;
-  /// Reused scratch for OnReportDelivery's cross-group merge, plus a small
-  /// pool of drained batch vectors: sealing an interval swaps a warm vector
-  /// back into `arriving_`, so the steady state queues, seals, and answers
-  /// queries without touching the heap.
-  std::vector<PendingBatch> eligible_scratch_;
+  /// A small pool of drained batch vectors: sealing an interval swaps a
+  /// warm vector back into `arriving_`, so the steady state queues, seals,
+  /// and answers queries without touching the heap. (OnReportDelivery's
+  /// cross-group merge uses per-thread scratch, see EligibleScratch.)
   std::vector<std::vector<PendingBatch>> spare_batches_;
   /// The single pending interval tick (the unit schedules its own ticks so
   /// sleeping stretches can be skipped; see ScheduleNextTick) and its

@@ -1,3 +1,5 @@
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/cache.h"
@@ -92,6 +94,37 @@ TEST(ClientCacheTest, UnboundedNeverEvicts) {
   for (ItemId i = 0; i < 1000; ++i) cache.Put(i, i, 0.0);
   EXPECT_EQ(cache.size(), 1000u);
   EXPECT_EQ(cache.lru_evictions(), 0u);
+}
+
+TEST(ClientCacheTest, PutOutsideBoundDomainCopiesItPrivate) {
+  // A cache bound to a domain takes an id outside it by copying the domain
+  // into a private one; entries, validity stamps and LRU order carry over.
+  const std::vector<ItemId> domain{10, 20, 30};
+  ClientCache cache(domain, 2);
+  cache.Put(10, 1, 1.0);
+  cache.Put(20, 2, 2.0);
+  ASSERT_NE(cache.Get(10), nullptr);  // 20 becomes least recent
+  cache.Put(15, 3, 3.0);              // outside the domain; evicts 20
+  EXPECT_EQ(cache.Items(), (std::vector<ItemId>{10, 15}));
+  EXPECT_EQ(cache.lru_evictions(), 1u);
+  EXPECT_DOUBLE_EQ(cache.Peek(10)->timestamp, 1.0);
+  cache.Put(30, 4, 4.0);  // evicts 10, the least recent now
+  EXPECT_EQ(cache.Items(), (std::vector<ItemId>{15, 30}));
+  EXPECT_EQ(cache.Peek(15)->value, 3u);
+  EXPECT_EQ(domain, (std::vector<ItemId>{10, 20, 30}));  // left untouched
+}
+
+TEST(ClientCacheTest, IdsOutsideTheDomainMiss) {
+  const std::vector<ItemId> domain{5, 6, 7, 100};
+  ClientCache cache(domain, 0);
+  for (ItemId id : domain) cache.Put(id, id, 1.0);
+  for (ItemId id : {ItemId{0}, ItemId{8}, ItemId{99}, ItemId{101}}) {
+    EXPECT_EQ(cache.Peek(id), nullptr);
+    EXPECT_FALSE(cache.Contains(id));
+    EXPECT_FALSE(cache.Erase(id));
+    EXPECT_FALSE(cache.SetTimestamp(id, 2.0));
+  }
+  EXPECT_EQ(cache.size(), domain.size());
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Equivalence contract of the watermark cache, the bucketed journal, the
+// Equivalence contract of the position-keyed cache, the bucketed journal, the
 // incremental report builders, and the shared-report delivery path: none of
 // them may change anything observable. Enforced three ways:
 //
@@ -8,10 +8,14 @@
 //  2. a scenario sweep CSV against the seed implementation's bytes, at
 //     --threads 1 and 4 (covers the cross-thread determinism contract too);
 //  3. a randomized ClientCache run against a reference model with eager
-//     per-entry timestamp semantics.
+//     per-entry timestamp semantics — for caches that grow a private
+//     domain, and for caches bound to a hot spot (a sparse domain, and a
+//     custom out-of-order hot spot with a repeated id), probed with ids
+//     outside the domain as well.
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <map>
 #include <random>
 #include <sstream>
@@ -24,6 +28,7 @@
 #include "core/cache.h"
 #include "exp/cell.h"
 #include "exp/sweep.h"
+#include "mu/hotspot.h"
 
 namespace mobicache {
 namespace {
@@ -209,16 +214,35 @@ class ReferenceCache {
   uint64_t evictions_ = 0;
 };
 
-void RunRandomizedComparison(size_t capacity, uint32_t seed) {
-  ClientCache cache(capacity);
+/// Drives a ClientCache and the reference through the same random
+/// operation stream. Without a hot spot the cache grows a private domain
+/// over ids [0, 40]; with one, the cache is bound to its domain, operations
+/// pick ids from its draw list (so a repeated id is picked more often), and
+/// an extra operation probes Peek/Erase/Contains with ids outside it.
+void RunRandomizedComparison(size_t capacity, uint32_t seed,
+                             const HotSpot* hotspot = nullptr) {
+  const std::unique_ptr<ClientCache> owned =
+      hotspot == nullptr
+          ? std::make_unique<ClientCache>(capacity)
+          : std::make_unique<ClientCache>(hotspot->domain(), capacity);
+  ClientCache& cache = *owned;
   ReferenceCache reference(capacity);
   std::mt19937 rng(seed);
   std::uniform_int_distribution<ItemId> pick_id(0, 40);
+  std::uniform_int_distribution<ItemId> pick_any(0, 999999);
+  std::vector<ItemId> probes;
+  if (hotspot == nullptr) {
+    for (ItemId id = 0; id <= 40; ++id) probes.push_back(id);
+  } else {
+    probes = hotspot->domain();
+  }
   SimTime clock = 0.0;
 
   for (int step = 0; step < 6000; ++step) {
     clock += 0.25;
-    const ItemId id = pick_id(rng);
+    const ItemId id = hotspot == nullptr
+                          ? pick_id(rng)
+                          : (*hotspot)[rng() % hotspot->size()];
     switch (rng() % 16) {
       case 0:
         ASSERT_EQ(cache.Erase(id), reference.Erase(id));
@@ -246,6 +270,20 @@ void RunRandomizedComparison(size_t capacity, uint32_t seed) {
           reference.Clear();
         }
         break;
+      case 5:
+        if (hotspot != nullptr) {
+          // An id outside the domain (TS report entries and asynchronous
+          // pushes name arbitrary items): a miss that changes nothing.
+          const ItemId other = pick_any(rng);
+          if (hotspot->PositionOf(other) == kNoDomainPosition) {
+            ASSERT_EQ(cache.Peek(other), nullptr) << "id " << other;
+            ASSERT_FALSE(cache.Erase(other)) << "id " << other;
+            ASSERT_FALSE(cache.Contains(other)) << "id " << other;
+            ASSERT_EQ(reference.Peek(other), nullptr) << "id " << other;
+          }
+          break;
+        }
+        [[fallthrough]];
       default: {
         const uint64_t value = rng();
         cache.Put(id, value, clock);
@@ -256,7 +294,7 @@ void RunRandomizedComparison(size_t capacity, uint32_t seed) {
     ASSERT_EQ(cache.size(), reference.size());
     if (step % 37 == 0) {
       ASSERT_EQ(cache.Items(), reference.Items());
-      for (ItemId probe = 0; probe <= 40; ++probe) {
+      for (ItemId probe : probes) {
         const CacheEntry* a = cache.Peek(probe);
         const CacheEntry* b = reference.Peek(probe);
         ASSERT_EQ(a == nullptr, b == nullptr) << "id " << probe;
@@ -266,7 +304,22 @@ void RunRandomizedComparison(size_t capacity, uint32_t seed) {
       }
     }
   }
+  ASSERT_EQ(cache.Items(), reference.Items());
   ASSERT_EQ(cache.lru_evictions(), reference.evictions());
+  if (capacity != 0) {
+    ASSERT_GT(cache.lru_evictions(), 0u);
+  }
+}
+
+/// 25 distinct ids spread over [0, 10^6), drawn once from a fixed seed.
+HotSpot SparseHotSpot() {
+  Rng rng(2024);
+  return HotSpot(RandomHotSpot(1000000, 25, rng));
+}
+
+/// A custom hot spot out of id order, with id 500 listed twice.
+HotSpot CustomHotSpot() {
+  return HotSpot({9000, 17, 500, 123456, 3, 500, 77, 999999, 40});
 }
 
 TEST(GoldenEquivalenceTest, RandomizedCacheMatchesReferenceUnbounded) {
@@ -282,6 +335,20 @@ TEST(GoldenEquivalenceTest, RandomizedCacheMatchesReferenceSmallCapacity) {
 TEST(GoldenEquivalenceTest, RandomizedCacheMatchesReferenceMediumCapacity) {
   RunRandomizedComparison(32, 3u);
   RunRandomizedComparison(32, 79u);
+}
+
+TEST(GoldenEquivalenceTest, RandomizedSparseHotSpotCacheMatchesReference) {
+  const HotSpot hotspot = SparseHotSpot();
+  ASSERT_EQ(hotspot.domain().size(), 25u);
+  RunRandomizedComparison(0, 4u, &hotspot);
+  RunRandomizedComparison(5, 80u, &hotspot);
+}
+
+TEST(GoldenEquivalenceTest, RandomizedCustomHotSpotCacheMatchesReference) {
+  const HotSpot hotspot = CustomHotSpot();
+  ASSERT_EQ(hotspot.domain().size(), hotspot.size() - 1);
+  RunRandomizedComparison(0, 5u, &hotspot);
+  RunRandomizedComparison(5, 81u, &hotspot);
 }
 
 }  // namespace

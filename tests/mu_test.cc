@@ -107,7 +107,7 @@ struct MuRig {
     MobileUnitConfig config;
     config.latency = 10.0;
     config.lambda_per_item = lambda;
-    config.hotspot = {0, 1, 2, 3, 4};
+    config.hotspot = MakeHotSpot({0, 1, 2, 3, 4});
     uplink = std::make_unique<FakeUplink>(&sim);
     unit = std::make_unique<MobileUnit>(
         &sim, config, std::make_unique<AtClientManager>(),
@@ -193,7 +193,7 @@ TEST(MobileUnitTest, PendingQueriesSurviveSleepAndAnswerLater) {
   MobileUnitConfig config;
   config.latency = 10.0;
   config.lambda_per_item = 2.0;
-  config.hotspot = {0};
+  config.hotspot = MakeHotSpot({0});
   Simulator sim;
   FakeUplink uplink(&sim);
 
@@ -244,7 +244,7 @@ TEST(MobileUnitTest, NoCacheManagerAlwaysGoesUplink) {
   MobileUnitConfig config;
   config.latency = 10.0;
   config.lambda_per_item = 1.0;
-  config.hotspot = {0, 1};
+  config.hotspot = MakeHotSpot({0, 1});
   Simulator sim;
   FakeUplink uplink(&sim);
   MobileUnit unit(&sim, config, std::make_unique<NoCacheClientManager>(),
@@ -268,7 +268,7 @@ TEST(MobileUnitTest, ZipfQueryPopularitySkewsItemChoice) {
   MobileUnitConfig config;
   config.latency = 10.0;
   config.lambda_per_item = 0.05;
-  config.hotspot = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  config.hotspot = MakeHotSpot({0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
   config.query_zipf_theta = 1.2;
   Simulator sim;
   FakeUplink uplink(&sim);
@@ -327,7 +327,7 @@ TEST_P(ArrivalSemanticsTest, MatchesFirstArrivalMapReference) {
   MobileUnitConfig config;
   config.latency = kLatency;
   config.lambda_per_item = kLambda;
-  config.hotspot = c.hotspot;
+  config.hotspot = MakeHotSpot(c.hotspot);
   config.query_zipf_theta = c.zipf_theta;
   Simulator sim;
   FakeUplink uplink(&sim);

@@ -57,7 +57,7 @@ TEST_P(CellPropertyTest, InvariantsHold) {
 
   // Per-unit cache contents only ever come from the unit's hot spot.
   for (MobileUnit* unit : cell.units()) {
-    const auto& hotspot = unit->config().hotspot;
+    const auto& hotspot = unit->config().hotspot->domain();
     for (ItemId id : unit->cache()->Items()) {
       EXPECT_TRUE(std::binary_search(hotspot.begin(), hotspot.end(), id));
     }

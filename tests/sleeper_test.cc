@@ -79,7 +79,7 @@ MobileUnitConfig UnitConfig(double lambda_per_item) {
   MobileUnitConfig config;
   config.latency = 10.0;
   config.lambda_per_item = lambda_per_item;
-  config.hotspot = {0, 1, 2, 3, 4};
+  config.hotspot = MakeHotSpot({0, 1, 2, 3, 4});
   return config;
 }
 
