@@ -137,15 +137,15 @@ class Database {
   /// slab with the same per-update effects (version bump, timestamp,
   /// journal append, observer dispatch, in order) as `count` ApplyUpdate
   /// calls. `times` must be non-decreasing and continue the journal's tail.
-  /// The batched update kernel's sink (UpdateGenerator batch mode).
+  /// The batched update kernel's sink (UpdateGenerator's drain).
   void ApplyUpdateBatch(const ItemId* ids, const SimTime* times,
                         size_t count);
 
   /// Hints that `id` will be updated soon. With millions of items the
   /// per-update random access to the hot slab misses every cache level; a
   /// caller that knows the id ahead of time (the update generator samples it
-  /// one event early) can hide that miss behind the intervening event
-  /// dispatches. Also touches the journal's append cursor, which the same
+  /// one update early) can hide that miss behind the work until its next
+  /// pump. Also touches the journal's append cursor, which the same
   /// update will write.
   void PrefetchItem(ItemId id) const {
 #if defined(__GNUC__) || defined(__clang__)

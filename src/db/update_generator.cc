@@ -22,6 +22,9 @@ UpdateGenerator::UpdateGenerator(Simulator* sim, Database* db,
     : sim_(sim), db_(db), rng_(seed), uniform_rate_(mu_per_item) {
   assert(mu_per_item >= 0.0);
   total_rate_ = mu_per_item * static_cast<double>(db_->size());
+  look_raw_.resize(kLookahead);
+  look_time_.resize(kLookahead);
+  look_item_.resize(kLookahead);
 }
 
 UpdateGenerator::UpdateGenerator(Simulator* sim, Database* db,
@@ -36,47 +39,23 @@ UpdateGenerator::UpdateGenerator(Simulator* sim, Database* db,
     rate_cdf_[i] = acc;
   }
   total_rate_ = acc;
+  batch_ids_.resize(kBatchChunk);
+  batch_times_.resize(kBatchChunk);
 }
 
 UpdateGenerator::~UpdateGenerator() { Stop(); }
 
-void UpdateGenerator::EnableBatchMode() {
-  assert(!active_ && "switch modes before Start()");
-  if (batch_mode_) return;
-  batch_mode_ = true;
-  if (rates_.empty()) {
-    look_raw_.resize(kLookahead);
-    look_time_.resize(kLookahead);
-    look_item_.resize(kLookahead);
-  } else {
-    batch_ids_.resize(kBatchChunk);
-    batch_times_.resize(kBatchChunk);
-  }
-}
-
 Status UpdateGenerator::Start() {
   if (active_) return Status::FailedPrecondition("generator already started");
   active_ = true;
-  if (total_rate_ > 0.0) {
-    if (batch_mode_) {
-      PrimeBatch();
-    } else {
-      ScheduleNext();
-    }
-  }
+  if (total_rate_ > 0.0) Prime();
   return Status::OK();
 }
 
 void UpdateGenerator::Stop() {
   if (!active_) return;
-  if (batch_mode_) {
-    // The per-event engine has dispatched every update event with time
-    // <= Now() when a run stops; drain to the same point before going
-    // inactive so both modes leave identical database state behind.
-    GenerateIntervalUpdates(sim_->Now(), /*inclusive=*/true);
-  } else {
-    sim_->Cancel(pending_);
-  }
+  // A run that stops at Now() has seen every update with time <= Now().
+  GenerateIntervalUpdates(sim_->Now(), /*inclusive=*/true);
   active_ = false;
 }
 
@@ -85,16 +64,7 @@ double UpdateGenerator::RateOf(ItemId id) const {
   return rates_.empty() ? uniform_rate_ : rates_[id];
 }
 
-void UpdateGenerator::ScheduleNext() {
-  const double gap = rng_.Exponential(total_rate_);
-  next_item_ = SampleItem();
-  db_->PrefetchItem(next_item_);
-  pending_ = sim_->ScheduleAfter(gap, [this] { Fire(); });
-}
-
-void UpdateGenerator::PrimeBatch() {
-  // Identical draws to ScheduleNext (gap, then item); the gap becomes the
-  // absolute pending time instead of a scheduled event.
+void UpdateGenerator::Prime() {
   const double gap = rng_.Exponential(total_rate_);
   next_item_ = SampleItem();
   db_->PrefetchItem(next_item_);
@@ -108,18 +78,6 @@ void UpdateGenerator::PrimeBatch() {
     look_pos_ = 0;
     look_len_ = 1;
   }
-}
-
-void UpdateGenerator::Fire() {
-  const ItemId item = next_item_;
-  // Draw and schedule the follow-up update *before* applying this one: the
-  // draws touch no database state (same RNG order as before — gap then item,
-  // once per cycle), and the freshly sampled item's prefetch then has this
-  // update's slab write and observer work as extra distance to hide its
-  // DRAM miss behind, instead of only the next dispatch's heap operations.
-  ScheduleNext();
-  db_->ApplyUpdate(item, sim_->Now());
-  ++updates_generated_;
 }
 
 void UpdateGenerator::RefillLookahead() {
@@ -145,8 +103,8 @@ void UpdateGenerator::RefillLookahead() {
   // Pass 2: decode the gaps and accumulate absolute event times. Identical
   // arithmetic to Exponential(rate) on the same bits — u = 1 -
   // (bits>>11)*2^-53, gap = -log(u)/rate — and the same repeated `+= gap`
-  // addition chain ScheduleAfter performs, so every decoded time is
-  // bit-identical to an on-demand draw; the log calls still pipeline
+  // addition chain an on-demand draw performs, so every decoded time is
+  // bit-identical to it; the log calls still pipeline
   // back-to-back (each accumulate only waits on its own log result).
   double* const times = look_time_.data();
   const double rate = total_rate_;
@@ -161,7 +119,7 @@ void UpdateGenerator::RefillLookahead() {
 }
 
 void UpdateGenerator::GenerateIntervalUpdates(SimTime through, bool inclusive) {
-  if (!batch_mode_ || !active_ || total_rate_ <= 0.0) return;
+  if (!active_ || total_rate_ <= 0.0) return;
   if (inclusive ? next_time_ > through : next_time_ >= through) return;
   WallTimer timer(&update_wall_seconds_);
   if (!rates_.empty()) {
@@ -183,7 +141,6 @@ void UpdateGenerator::GenerateIntervalUpdates(SimTime through, bool inclusive) {
       db_->ApplyUpdateBatch(look_item_.data() + look_pos_, times + look_pos_,
                             count);
       updates_generated_ += count;
-      batched_applied_ += count;
       look_pos_ = end;
     }
     if (look_pos_ < look_len_) break;  // head exists and is not due
@@ -192,7 +149,7 @@ void UpdateGenerator::GenerateIntervalUpdates(SimTime through, bool inclusive) {
   next_item_ = look_item_[look_pos_];
   next_time_ = look_time_[look_pos_];
   // The pending pair outlives the pump; give its slab line the span until
-  // the next pump point to arrive, like the per-event one-ahead prefetch.
+  // the next pump point to arrive.
   db_->PrefetchItem(next_item_);
 }
 
@@ -211,7 +168,6 @@ void UpdateGenerator::GenerateIntervalUpdatesWeighted(SimTime through,
     if (count == kBatchChunk || !due) {
       db_->ApplyUpdateBatch(ids, times, count);
       updates_generated_ += count;
-      batched_applied_ += count;
       count = 0;
       if (!due) break;
     }

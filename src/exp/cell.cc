@@ -233,15 +233,11 @@ Status Cell::Build() {
   server_->SetDeliverySink([this](Server::ReportDelivery d) {
     pending_deliveries_.push_back(std::move(d));
   });
-  if (!trace_updates_) {
-    // The stateful/async baselines consume a per-event update trace (their
-    // registry invalidations and async broadcasts happen at the update
-    // instant); every other strategy only reads database state at pump
-    // points, so the update stream drains in batches. The window barrier
-    // adds one pump so shards read a database advanced exactly to the cut.
-    updates_->EnableBatchMode();
-    server_->SetUpdatePump(updates_.get());
-  }
+  // Every strategy drains the update stream in batches. The stateful/async
+  // trace fills from the database observer during the pumps; the window
+  // barrier pump completes it, and advances the database exactly to the
+  // cut, before the shard phase replays it and answers uplinks.
+  server_->SetUpdatePump(updates_.get());
 
   // Contiguous partition: shard s holds global units
   // [shard_offset_[s], shard_offset_[s + 1]), the first `rem` shards one
@@ -270,7 +266,9 @@ Status Cell::Build() {
     // only — fan-out happens shard-side through the delivery sink.
     server_->AttachWakeIndex(&shard->wake_index);
     shard->units.reserve(count);
-    shard->sim.Reserve(2 * count + 1024);
+    // A report-driven unit holds one pending event (its tick); an
+    // immediate-answer unit also holds its next query arrival.
+    shard->sim.Reserve((shard->immediate ? 2 : 1) * count + 1024);
     if (sig_strategy) {
       shard->family = MakeSignatureFamilyForCell(cc, family_seed);
     }
@@ -510,8 +508,8 @@ void Cell::AdvanceWindow(SimTime cut, bool inclusive) {
     sim_->RunUntilBefore(cut);
   }
   // The shard phase answers uplinks from the quiescent database; drain the
-  // batched update stream to the cut (matching inclusivity) so it holds
-  // exactly the state the per-event engine would have reached.
+  // update stream to the cut (matching inclusivity) so it holds exactly
+  // the updates due by then, and the update trace is complete.
   updates_->GenerateIntervalUpdates(cut, inclusive);
   server_wall_seconds_ += SecondsSince(t0);
 
@@ -718,10 +716,9 @@ CellResult Cell::result() const {
       decisions == 0 ? 0.0
                      : static_cast<double>(r.reports_missed) /
                            static_cast<double>(decisions);
-  // Batched updates no longer pass through the scheduler, but each was one
-  // dispatched event under the per-event update engine; count them back in
-  // so the events/sec denominator measures the same simulated work.
-  r.sim_events = sim_->DispatchedEvents() + updates_->batched_updates_applied();
+  // Updates drain in batches, outside the scheduler; count each as one
+  // simulated event so the events/sec denominator covers the update work.
+  r.sim_events = sim_->DispatchedEvents() + updates_->updates_generated();
   for (const auto& shard : shards_) {
     r.sim_events += shard->sim.DispatchedEvents();
   }

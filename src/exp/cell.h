@@ -177,12 +177,10 @@ struct CellResult {
   double listen_seconds_total = 0.0;
   /// Simulated events over the whole run (warmup included); the bench
   /// harness's events/sec denominator. Counts every event the server and
-  /// shard simulators dispatched plus every update applied through the
-  /// batched drain path — each of those was one dispatched event under the
-  /// per-event update engine, so the denominator measures the same
-  /// simulated work in both modes.
+  /// shard simulators dispatched plus every update applied (updates drain
+  /// in batches outside the scheduler; each counts as one event).
   uint64_t sim_events = 0;
-  /// Updates applied to the database over the whole run (either mode).
+  /// Updates applied to the database over the whole run.
   uint64_t updates_applied = 0;
   ChannelStats channel;
 
@@ -261,8 +259,8 @@ class Cell {
   /// Records replayed at the barriers (shard log entries + async trace
   /// broadcasts), warmup included.
   uint64_t replay_records() const { return replay_records_; }
-  /// Wall time draining the batched update stream — a sub-account of the
-  /// server phase (pumps run inside it); 0 in per-event modes.
+  /// Wall time draining the update stream — a sub-account of the server
+  /// phase (pumps run inside it).
   double update_wall_seconds() const {
     return updates_ == nullptr ? 0.0 : updates_->update_wall_seconds();
   }
@@ -274,8 +272,10 @@ class Cell {
   uint64_t async_messages_broadcast() const { return async_messages_; }
   uint64_t async_deliveries() const;
 
-  /// The server-side simulator (broadcast schedule, update stream). Tests
-  /// pre-schedule deterministic database updates on it before Run().
+  /// The server-side simulator (broadcast schedule). Tests pre-schedule
+  /// deterministic database updates (ApplyUpdate calls) on it before Run();
+  /// such a cell needs mu = 0, because the update stream drains only at
+  /// pump points and would apply its earlier updates after a scheduled one.
   Simulator* sim() { return sim_.get(); }
   Database* db() { return db_.get(); }
   Server* server() { return server_.get(); }

@@ -80,11 +80,10 @@ struct SweepResult {
     double shard_seconds = 0.0;
     double replay_seconds = 0.0;
     uint64_t replay_records = 0;
-    /// Wall time draining the batched update stream — a sub-account of
-    /// server_seconds (pumps run inside the server phase); 0 when the cell
-    /// ran its updates per-event.
+    /// Wall time draining the update stream — a sub-account of
+    /// server_seconds (pumps run inside the server phase).
     double update_seconds = 0.0;
-    /// Updates applied to the cell's database over the run (either mode).
+    /// Updates applied to the cell's database over the run.
     uint64_t updates_applied = 0;
     /// Journal retention diagnostics of the cell's database: the class the
     /// strategy armed ("none", "digest", "full" — see JournalRetention) and

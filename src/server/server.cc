@@ -32,7 +32,6 @@ void Server::AttachWakeIndex(const WakeIndex* index) {
 
 void Server::SetUpdatePump(UpdateGenerator* pump) {
   assert(broadcaster_ == nullptr && "attach the update pump before Start()");
-  assert(pump == nullptr || pump->batch_mode());
   update_pump_ = pump;
 }
 
@@ -74,9 +73,8 @@ std::shared_ptr<Report>& Server::AcquireReportSlot() {
 }
 
 void Server::Broadcast(uint64_t interval) {
-  // Batched update drain: everything strictly before this broadcast instant
-  // becomes visible before the report builds — the per-event engine had
-  // dispatched exactly those update events when this one fired.
+  // Update drain: everything strictly before this broadcast instant
+  // becomes visible before the report builds.
   if (update_pump_ != nullptr) {
     update_pump_->GenerateIntervalUpdates(sim_->Now(), /*inclusive=*/false);
   }
@@ -177,20 +175,8 @@ void Server::Deliver(std::shared_ptr<const Report> report, uint64_t bits,
   // intervals reach the sink through this event too, so stats resets and
   // run-end truncation bin them exactly like materialized ones.
   sim_->ScheduleAt(done, [this, report = std::move(report), listen, done] {
-    ConsumeDelivery(std::move(report), listen, done);
+    if (delivery_sink_) delivery_sink_(ReportDelivery{report, listen, done});
   });
-}
-
-void Server::ConsumeDelivery(std::shared_ptr<const Report> report,
-                             double listen, SimTime done) {
-  // Drain updates due before the consumption instant: the per-event engine
-  // had applied exactly the updates with time < done by this point.
-  if (update_pump_ != nullptr) {
-    update_pump_->GenerateIntervalUpdates(done, /*inclusive=*/false);
-  }
-  if (delivery_sink_) {
-    delivery_sink_(ReportDelivery{std::move(report), listen, done});
-  }
 }
 
 void Server::AccountUplinkQuery(const UplinkQueryInfo& info) {

@@ -77,12 +77,14 @@ class Server {
   /// shard. Call before Start().
   void AttachWakeIndex(const WakeIndex* index);
 
-  /// Attaches a batched update generator as the server's update pump. The
-  /// server then drains pending updates at every point a server-phase
-  /// reader can first observe database state — the broadcast head (before
-  /// the report build) and the delivery-consumption instant — so every
-  /// reader sees the database trajectory of the per-event interleaving. The
-  /// cell adds one more pump at its window barrier. Call before Start().
+  /// Attaches the update generator whose drain feeds the database. Updates
+  /// reach the database at two pump points, the only places a reader
+  /// observes it: the broadcast head here (everything before the broadcast
+  /// instant, ahead of the report build), and the cell's window barrier
+  /// (everything up to the cut, before any shard answers an uplink).
+  /// Delivery consumption is not a pump point: it only hands the delivery
+  /// to the sink, which reads no database state. A null pump means no
+  /// update stream. Call before Start().
   void SetUpdatePump(UpdateGenerator* pump);
 
   /// Raises the journal retention class Start() arms beyond what the
@@ -117,7 +119,9 @@ class Server {
   /// Installs the delivery sink: every completed report transmission is
   /// handed to it. The cell collects each interval's deliveries this way
   /// and replays them inside every shard's own simulator. The sink runs
-  /// inside the delivery-completion event, at Now() == delivery.done.
+  /// inside the delivery-completion event, at Now() == delivery.done, and
+  /// must not read the database: the update stream is drained only at the
+  /// pump points (see SetUpdatePump).
   void SetDeliverySink(std::function<void(ReportDelivery)> sink) {
     delivery_sink_ = std::move(sink);
   }
@@ -131,16 +135,12 @@ class Server {
 
  private:
   void Broadcast(uint64_t interval);
-  /// Transmits and schedules consumption. `report` may be null (elided
+  /// Transmits and schedules the consumption event, which hands the
+  /// delivery to the sink at Now() == done. `report` may be null (elided
   /// quiet interval: all bookkeeping, nothing to hear). `duration` is
   /// channel_->Duration(bits), computed once in Broadcast.
   void Deliver(std::shared_ptr<const Report> report, uint64_t bits,
                double jitter, double duration);
-  /// The delivery-consumption event: drains updates due before `done`, then
-  /// hands the delivery to the sink. Runs as the event Deliver scheduled,
-  /// at Now() == done.
-  void ConsumeDelivery(std::shared_ptr<const Report> report, double listen,
-                       SimTime done);
   /// Grabs a free arena slot (use_count == 1 means no in-flight delivery
   /// still references it), growing the arena only until the steady state's
   /// maximum in-flight count is covered.

@@ -223,9 +223,9 @@ class Simulator {
   uint64_t RunUntilBefore(SimTime end);
 
   /// Pre-sizes the heap, slot slab, and free list for `pending_events`
-  /// simultaneously queued events, so populations that schedule one ticker
-  /// plus one arrival per unit (10^6 pending events per shard) never
-  /// reallocate mid-run.
+  /// simultaneously queued events, so large populations never reallocate
+  /// mid-run. A report-driven unit holds one pending event (its tick); an
+  /// immediate-answer unit holds its tick plus its next query arrival.
   void Reserve(size_t pending_events);
 
   /// Dispatches exactly one event if any is pending. Returns true if an

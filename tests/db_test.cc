@@ -136,8 +136,42 @@ TEST(UpdateGeneratorTest, StopHaltsGeneration) {
   sim.RunUntil(10.0);
   gen.Stop();
   const uint64_t at_stop = gen.updates_generated();
+  EXPECT_GT(at_stop, 0u);  // Stop() drained the updates due by Now()
   sim.RunUntil(100.0);
+  gen.GenerateIntervalUpdates(100.0, /*inclusive=*/true);
   EXPECT_EQ(gen.updates_generated(), at_stop);
+}
+
+TEST(UpdateGeneratorTest, PumpAppliesOnlyDueUpdates) {
+  Simulator sim;
+  Database db(10, 1);
+  UpdateGenerator gen(&sim, &db, 1.0, 5);
+  ASSERT_TRUE(gen.Start().ok());
+  gen.GenerateIntervalUpdates(5.0, /*inclusive=*/false);
+  const uint64_t by_five = db.total_updates();
+  EXPECT_GT(by_five, 0u);
+  EXPECT_EQ(gen.updates_generated(), by_five);
+  for (ItemId i = 0; i < 10; ++i) EXPECT_LT(db.Get(i).last_update, 5.0);
+  gen.GenerateIntervalUpdates(5.0, /*inclusive=*/false);  // nothing new due
+  EXPECT_EQ(db.total_updates(), by_five);
+}
+
+// The destructor stops the generator, which drains the updates due by
+// Now() into the database — so the database must outlive the generator.
+TEST(UpdateGeneratorTest, DestructorDrainsDueUpdates) {
+  Simulator sim;
+  Database db(10, 1);
+  uint64_t generated = 0;
+  {
+    UpdateGenerator gen(&sim, &db, 1.0, 5);
+    ASSERT_TRUE(gen.Start().ok());
+    sim.RunUntil(20.0);
+    EXPECT_EQ(db.total_updates(), 0u);  // no pump has run yet
+    generated = gen.updates_generated();
+  }
+  EXPECT_EQ(generated, 0u);
+  EXPECT_GT(db.total_updates(), 0u);
+  for (ItemId i = 0; i < 10; ++i) EXPECT_LE(db.Get(i).last_update, 20.0);
 }
 
 TEST(UpdateGeneratorTest, WeightedRatesSkewItemChoice) {

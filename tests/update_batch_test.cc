@@ -1,21 +1,24 @@
-// Contracts of the batched interval update kernel (db/update_generator.cc
-// batch mode + Database::ApplyUpdateBatch) and digest-only journal buckets
-// under quiet elision:
+// Contracts of the batched interval update kernel (db/update_generator.cc's
+// drain + Database::ApplyUpdateBatch) and digest-only journal buckets under
+// quiet elision:
 //
-//  * RNG replay: the batched drain applies the exact (item, time) sequence
-//    the per-event engine dispatches — same seed, same draws, bit-identical
-//    timestamps — for the uniform, Zipf-weighted, and zero-rate profiles,
-//    regardless of where the pump points fall.
+//  * RNG replay: the drain applies the exact (item, time) sequence of an
+//    in-test reference generator that draws one update at a time — same
+//    seed, same gap-then-item draws, bit-identical timestamps — for the
+//    uniform, Zipf-weighted, and zero-rate profiles, regardless of where
+//    the pump points fall; and it leaves the database state that single
+//    ApplyUpdate calls of that sequence leave.
 //  * Journal digests: a digest-only cell (SIG) produces byte-identical
 //    results with quiet elision on and off while laying down digest-only
 //    buckets (the raw-vs-digest window twins live in retention_test.cc).
-//  * Shards: 4 and 8 shards match the 1-shard cell with batching on,
-//    including the applied-update count.
-//  * Allocation-freedom: once the staging buffers exist, the drain loop and
-//    the warm full-cell steady state (pump + elided journal appends)
-//    perform zero heap allocations (for the cell: Run(60, 100) allocates
-//    exactly as often as Run(60, 50)).
+//  * Shards: 4 and 8 shards match the 1-shard cell, including the
+//    applied-update count.
+//  * Allocation-freedom: the drain loop (its buffers come with the
+//    generator) and the warm full-cell steady state (pump + elided journal
+//    appends) perform zero heap allocations (for the cell: Run(60, 100)
+//    allocates exactly as often as Run(60, 50)).
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -30,6 +33,7 @@
 #include "exp/cell.h"
 #include "mu/mobile_unit.h"
 #include "sim/simulator.h"
+#include "util/random.h"
 
 // Counting global operator new, as in quiet_elision_test.cc: the
 // allocation-free contracts are asserted as deltas around measured spans.
@@ -92,7 +96,7 @@ namespace mobicache {
 namespace {
 
 // ---------------------------------------------------------------------------
-// RNG replay: per-event vs batched drain.
+// RNG replay: the drain against a one-update-at-a-time reference.
 
 struct AppliedUpdate {
   ItemId id;
@@ -103,13 +107,51 @@ constexpr uint64_t kReplayItems = 96;
 constexpr uint64_t kReplaySeed = 20260809;
 constexpr SimTime kReplayEnd = 400.0;
 
-// Runs one generator to kReplayEnd in the given mode and returns the
-// observed (item, time) application sequence. Batched runs drain through a
-// deliberately irregular set of pump points (repeats, both inclusivities,
-// cuts that land between updates) — the sequence must not depend on them.
-std::vector<AppliedUpdate> ReplayUpdates(double uniform_mu,
-                                         const std::vector<double>& rates,
-                                         bool batched) {
+// The reference generator: the superposed Poisson stream drawn one update
+// at a time on the generator's Rng stream — Exponential(total_rate) for the
+// gap, then NextUint64(n) (uniform) or the rate-CDF lower_bound (weighted)
+// for the item — with times by repeated `+=` from 0. Returns every update
+// with time <= `end`.
+std::vector<AppliedUpdate> ReferenceUpdates(double uniform_mu,
+                                            const std::vector<double>& rates,
+                                            SimTime end) {
+  Rng rng(kReplaySeed);
+  std::vector<double> cdf;
+  double total = 0.0;
+  if (rates.empty()) {
+    total = uniform_mu * static_cast<double>(kReplayItems);
+  } else {
+    for (double r : rates) {
+      total += r;
+      cdf.push_back(total);
+    }
+  }
+  std::vector<AppliedUpdate> out;
+  if (total <= 0.0) return out;
+  SimTime t = 0.0;
+  for (;;) {
+    t += rng.Exponential(total);
+    ItemId id = 0;
+    if (rates.empty()) {
+      id = static_cast<ItemId>(rng.NextUint64(kReplayItems));
+    } else {
+      const double u = rng.NextDouble() * total;
+      auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+      if (it == cdf.end()) --it;
+      id = static_cast<ItemId>(it - cdf.begin());
+    }
+    if (t > end) break;
+    out.push_back(AppliedUpdate{id, t});
+  }
+  return out;
+}
+
+// Runs one generator to kReplayEnd and returns the observed (item, time)
+// application sequence. The drain goes through a deliberately irregular
+// set of pump points (repeats, both inclusivities, cuts that land between
+// updates) — the sequence must not depend on them.
+std::vector<AppliedUpdate> DrainUpdates(double uniform_mu,
+                                        const std::vector<double>& rates) {
   Simulator sim;
   Database db(kReplayItems, /*seed=*/7);
   std::vector<std::unique_ptr<UpdateGenerator>> holder;
@@ -125,40 +167,30 @@ std::vector<AppliedUpdate> ReplayUpdates(double uniform_mu,
   db.AddUpdateObserver([&applied](ItemId id, SimTime t) {
     applied.push_back(AppliedUpdate{id, t});
   });
-  if (batched) gen.EnableBatchMode();
   EXPECT_TRUE(gen.Start().ok());
-  if (batched) {
-    for (SimTime cut : {13.7, 13.7, 40.0, 111.2, 111.2, 250.0}) {
-      gen.GenerateIntervalUpdates(cut, /*inclusive=*/false);
-      gen.GenerateIntervalUpdates(cut, /*inclusive=*/true);
-    }
-    // RunUntil dispatches events with time <= end, so the final drain is
-    // inclusive at the same point.
-    gen.GenerateIntervalUpdates(kReplayEnd, /*inclusive=*/true);
-  } else {
-    sim.RunUntil(kReplayEnd);
+  for (SimTime cut : {13.7, 13.7, 40.0, 111.2, 111.2, 250.0}) {
+    gen.GenerateIntervalUpdates(cut, /*inclusive=*/false);
+    gen.GenerateIntervalUpdates(cut, /*inclusive=*/true);
   }
+  gen.GenerateIntervalUpdates(kReplayEnd, /*inclusive=*/true);
   gen.Stop();
   db.ClearExtraObservers();
   EXPECT_EQ(gen.updates_generated(), applied.size());
   EXPECT_EQ(db.total_updates(), applied.size());
-  if (batched) {
-    EXPECT_EQ(gen.batched_updates_applied(), applied.size());
-  }
   return applied;
 }
 
 void ExpectSameReplay(double uniform_mu, const std::vector<double>& rates) {
-  const std::vector<AppliedUpdate> per_event =
-      ReplayUpdates(uniform_mu, rates, /*batched=*/false);
-  const std::vector<AppliedUpdate> batched =
-      ReplayUpdates(uniform_mu, rates, /*batched=*/true);
-  ASSERT_EQ(per_event.size(), batched.size());
-  for (size_t i = 0; i < per_event.size(); ++i) {
-    ASSERT_EQ(per_event[i].id, batched[i].id) << "update " << i;
-    // Bit-exact: the batched path accumulates the same doubles by the same
-    // repeated addition ScheduleAfter performs.
-    ASSERT_EQ(per_event[i].at, batched[i].at) << "update " << i;
+  const std::vector<AppliedUpdate> reference =
+      ReferenceUpdates(uniform_mu, rates, kReplayEnd);
+  const std::vector<AppliedUpdate> drained = DrainUpdates(uniform_mu, rates);
+  ASSERT_GT(reference.size(), 100u);
+  ASSERT_EQ(reference.size(), drained.size());
+  for (size_t i = 0; i < reference.size(); ++i) {
+    ASSERT_EQ(reference[i].id, drained[i].id) << "update " << i;
+    // Bit-exact: the drain's lookahead decodes the same bits and
+    // accumulates the same doubles by the same repeated addition.
+    ASSERT_EQ(reference[i].at, drained[i].at) << "update " << i;
   }
 }
 
@@ -172,24 +204,26 @@ TEST(UpdateBatchReplayTest, ZipfProfileMatchesPerEvent) {
 }
 
 TEST(UpdateBatchReplayTest, ZeroRateGeneratesNothingInEitherMode) {
-  EXPECT_TRUE(ReplayUpdates(0.0, {}, /*batched=*/false).empty());
-  EXPECT_TRUE(ReplayUpdates(0.0, {}, /*batched=*/true).empty());
+  EXPECT_TRUE(ReferenceUpdates(0.0, {}, kReplayEnd).empty());
+  EXPECT_TRUE(DrainUpdates(0.0, {}).empty());
 }
 
+// The drain and single ApplyUpdate calls of the reference sequence leave
+// the same database behind: versions, timestamps, values, journal.
 TEST(UpdateBatchReplayTest, BothModesLeaveIdenticalDatabaseState) {
   Database dbs[2] = {Database(kReplayItems, 7), Database(kReplayItems, 7)};
-  for (int batched = 0; batched < 2; ++batched) {
+  for (const AppliedUpdate& u : ReferenceUpdates(0.08, {}, kReplayEnd)) {
+    dbs[0].ApplyUpdate(u.id, u.at);
+  }
+  {
     Simulator sim;
-    UpdateGenerator gen(&sim, &dbs[batched], 0.08, kReplaySeed);
-    if (batched == 1) gen.EnableBatchMode();
+    UpdateGenerator gen(&sim, &dbs[1], 0.08, kReplaySeed);
     ASSERT_TRUE(gen.Start().ok());
-    if (batched == 1) {
-      gen.GenerateIntervalUpdates(kReplayEnd, /*inclusive=*/true);
-    } else {
-      sim.RunUntil(kReplayEnd);
-    }
+    gen.GenerateIntervalUpdates(kReplayEnd, /*inclusive=*/true);
     gen.Stop();
   }
+  ASSERT_GT(dbs[0].total_updates(), 0u);
+  EXPECT_EQ(dbs[0].total_updates(), dbs[1].total_updates());
   for (ItemId id = 0; id < kReplayItems; ++id) {
     EXPECT_EQ(dbs[0].VersionOf(id), dbs[1].VersionOf(id)) << "item " << id;
     EXPECT_EQ(dbs[0].LastUpdateOf(id), dbs[1].LastUpdateOf(id))
@@ -320,15 +354,14 @@ TEST(UpdateBatchEngineTest, MegaCellMatchesCellAcrossShardCounts) {
 // ---------------------------------------------------------------------------
 // Allocation-freedom.
 
-// The drain loop itself: once EnableBatchMode has sized the staging
-// buffers, pumping any number of updates through a journal-less database
-// allocates nothing.
+// The drain loop itself: the constructor sizes the lookahead buffers, so
+// pumping any number of updates through a journal-less database allocates
+// nothing.
 TEST(UpdateBatchAllocationTest, DrainLoopAllocatesNothing) {
   Simulator sim;
   Database db(10000, /*seed=*/3);
   db.SetJournalEnabled(false);
   UpdateGenerator gen(&sim, &db, /*mu_per_item=*/0.01, /*seed=*/77);
-  gen.EnableBatchMode();
   ASSERT_TRUE(gen.Start().ok());
   gen.GenerateIntervalUpdates(50.0, /*inclusive=*/false);  // warm
 
@@ -338,7 +371,7 @@ TEST(UpdateBatchAllocationTest, DrainLoopAllocatesNothing) {
                                 /*inclusive=*/false);
   }
   EXPECT_EQ(g_new_calls.load() - before, 0u) << "batched drain allocated";
-  EXPECT_GT(gen.batched_updates_applied(), 10000u);
+  EXPECT_GT(gen.updates_generated(), 10000u);
 }
 
 // Full-cell steady state: with every unit asleep under SIG, the measured
@@ -358,7 +391,7 @@ TEST(UpdateBatchAllocationTest, WarmElidedCellSteadyStateAllocatesNothing) {
     ASSERT_TRUE(cell.Run(60, run == 0 ? 50 : 100).ok());
     allocations[run] = g_new_calls.load() - before;
     EXPECT_GT(cell.result().quiet_skipped_intervals, 0u);
-    EXPECT_GT(cell.updates()->batched_updates_applied(), 0u);
+    EXPECT_GT(cell.updates()->updates_generated(), 0u);
     EXPECT_GT(cell.db()->elided_journal_buckets(), 0u);
   }
   EXPECT_EQ(allocations[1], allocations[0])
