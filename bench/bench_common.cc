@@ -208,17 +208,15 @@ int RunFigureBench(PaperScenario scenario,
   double update_seconds = 0.0;
   uint64_t updates_applied = 0;
   uint64_t journal_peak = 0;
-  uint64_t retention_cells[3] = {0, 0, 0};  // none, digest, full
+  uint64_t retention_cells[2] = {0, 0};  // none, full
   for (const SweepResult::CellTiming& t : result->cell_timings) {
     update_seconds += t.update_seconds;
     updates_applied += t.updates_applied;
     journal_peak += t.journal_bytes_peak;
     if (std::strcmp(t.retention_class, "none") == 0) {
       ++retention_cells[0];
-    } else if (std::strcmp(t.retention_class, "digest") == 0) {
-      ++retention_cells[1];
     } else {
-      ++retention_cells[2];
+      ++retention_cells[1];
     }
   }
   if (updates_applied > 0) {
@@ -233,9 +231,8 @@ int RunFigureBench(PaperScenario scenario,
   if (!result->cell_timings.empty()) {
     std::printf(
         "journal peak %.2f MB summed over cells  "
-        "(retention: %llu full, %llu digest, %llu none)\n",
+        "(retention: %llu full, %llu none)\n",
         static_cast<double>(journal_peak) / (1024.0 * 1024.0),
-        static_cast<unsigned long long>(retention_cells[2]),
         static_cast<unsigned long long>(retention_cells[1]),
         static_cast<unsigned long long>(retention_cells[0]));
   }

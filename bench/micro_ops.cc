@@ -369,7 +369,7 @@ void BM_UpdateBatch(benchmark::State& state) {
   const uint64_t n = static_cast<uint64_t>(state.range(0));
   Simulator sim;
   Database db(n, 1);
-  db.SetJournalEnabled(false);
+  db.SetRetention(JournalRetention::kNone);
   UpdateGenerator gen(&sim, &db, 1000.0 / static_cast<double>(n), 5);
   if (!gen.Start().ok()) state.SkipWithError("generator start failed");
   double t = 0.0;

@@ -64,16 +64,23 @@ uint64_t AdaptiveTsServerStrategy::UplinkExtraBits(
   return static_cast<uint64_t>(info.local_hit_times.size()) * sizes_.bT;
 }
 
-Report AdaptiveTsServerStrategy::BuildReport(SimTime now, uint64_t interval) {
+void AdaptiveTsServerStrategy::BuildReportInto(SimTime now, uint64_t interval,
+                                               Report* out) {
+  // The adaptive controller's per-period maps and window table allocate by
+  // design, off the lean strategies' allocation-free contract (see
+  // OnUplinkQuery). detlint:allow-function(alloc-event-path)
   if (interval > 0 && interval % options_.eval_period == 0) {
     Reevaluate(now, interval);
   }
 
-  AdaptiveTsReport report;
-  report.interval = interval;
-  report.timestamp = now;
-  report.window_bits =
+  AdaptiveTsReport* report = std::get_if<AdaptiveTsReport>(out);
+  if (report == nullptr) report = &out->emplace<AdaptiveTsReport>();
+  report->interval = interval;
+  report->timestamp = now;
+  report->window_bits =
       static_cast<uint32_t>(std::max<uint64_t>(1, CeilLog2(options_.max_window + 1)));
+  report->entries.clear();
+  report->window_changes.clear();
 
   // Items updated within their own window w(i) = k_i * L.
   const SimTime max_window_secs =
@@ -82,7 +89,7 @@ Report AdaptiveTsServerStrategy::BuildReport(SimTime now, uint64_t interval) {
     const uint64_t k = WindowOf(item.id);
     if (k == 0) continue;
     if (item.updated_at > now - latency_ * static_cast<double>(k)) {
-      report.entries.push_back(TsReportEntry{item.id, item.updated_at});
+      report->entries.push_back(TsReportEntry{item.id, item.updated_at});
       ++period_[item.id].reported;
     }
   }
@@ -93,15 +100,14 @@ Report AdaptiveTsServerStrategy::BuildReport(SimTime now, uint64_t interval) {
   // detlint:allow(unordered-output) entries are sorted by id below
   for (const auto& [id, st] : controllers_) {
     if (st.window != options_.cold_window) {
-      report.window_changes.push_back(
+      report->window_changes.push_back(
           WindowChangeEntry{id, static_cast<uint32_t>(st.window)});
     }
   }
-  std::sort(report.window_changes.begin(), report.window_changes.end(),
+  std::sort(report->window_changes.begin(), report->window_changes.end(),
             [](const WindowChangeEntry& a, const WindowChangeEntry& b) {
               return a.id < b.id;
             });
-  return report;
 }
 
 namespace {

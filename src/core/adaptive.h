@@ -77,7 +77,7 @@ class AdaptiveTsServerStrategy : public ServerStrategy {
                            const MessageSizes& sizes, AdaptiveTsOptions options);
 
   StrategyKind kind() const override { return StrategyKind::kAdaptiveTs; }
-  Report BuildReport(SimTime now, uint64_t interval) override;
+  void BuildReportInto(SimTime now, uint64_t interval, Report* out) override;
   SimTime JournalHorizonSeconds() const override;
   void OnUplinkQuery(const UplinkQueryInfo& info) override;
   uint64_t UplinkExtraBits(const UplinkQueryInfo& info) const override;

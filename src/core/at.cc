@@ -10,19 +10,6 @@ AtServerStrategy::AtServerStrategy(const Database* db, SimTime latency)
   assert(latency > 0.0);
 }
 
-Report AtServerStrategy::BuildReport(SimTime now, uint64_t interval) {
-  // Fresh-report path for callers outside the server's arena; building a
-  // new report is the point. detlint:allow-function(alloc-event-path)
-  AtReport report;
-  report.interval = interval;
-  report.timestamp = now;
-  // U_i = { j : T_{i-1} < t_j <= T_i }  (Eq. 2)
-  for (const UpdatedItem& item : db_->UpdatedIn(now - latency_, now)) {
-    report.ids.push_back(item.id);
-  }
-  return report;
-}
-
 void AtServerStrategy::BuildReportInto(SimTime now, uint64_t interval,
                                        Report* out) {
   AtReport* at = std::get_if<AtReport>(out);

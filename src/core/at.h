@@ -19,7 +19,6 @@ class AtServerStrategy : public ServerStrategy {
   AtServerStrategy(const Database* db, SimTime latency);
 
   StrategyKind kind() const override { return StrategyKind::kAt; }
-  Report BuildReport(SimTime now, uint64_t interval) override;
   void BuildReportInto(SimTime now, uint64_t interval, Report* out) override;
   bool AdvanceQuiet(SimTime now, uint64_t interval, const MessageSizes& sizes,
                     uint64_t* bits) override;

@@ -64,10 +64,16 @@ void QuasiAtServerStrategy::OnUplinkQuery(const UplinkQueryInfo& info) {
   // outstanding copy governs the reporting deadline.
 }
 
-Report QuasiAtServerStrategy::BuildReport(SimTime now, uint64_t interval) {
-  AtReport report;
-  report.interval = interval;
-  report.timestamp = now;
+void QuasiAtServerStrategy::BuildReportInto(SimTime now, uint64_t interval,
+                                            Report* out) {
+  // Quasi-copy obligation bookkeeping (hash map and set, candidate list)
+  // allocates by design, off the lean strategies' allocation-free contract.
+  // detlint:allow-function(alloc-event-path)
+  AtReport* report = std::get_if<AtReport>(out);
+  if (report == nullptr) report = &out->emplace<AtReport>();
+  report->interval = interval;
+  report->timestamp = now;
+  report->ids.clear();
 
   // Candidates: fresh changes from the last interval plus changes still
   // deferred by an unmatured obligation.
@@ -95,7 +101,7 @@ Report QuasiAtServerStrategy::BuildReport(SimTime now, uint64_t interval) {
       continue;
     }
     if (interval >= ob.eligible_at) {
-      report.ids.push_back(id);
+      report->ids.push_back(id);
       ob.last_included_version = db_->VersionOf(id);
       // Inclusion invalidates every copy (awake clients drop it now;
       // sleepers drop their whole cache on waking), so the slate is clean.
@@ -107,8 +113,7 @@ Report QuasiAtServerStrategy::BuildReport(SimTime now, uint64_t interval) {
       pending_.insert(id);
     }
   }
-  std::sort(report.ids.begin(), report.ids.end());
-  return report;
+  std::sort(report->ids.begin(), report->ids.end());
 }
 
 uint64_t QuasiAtClientManager::OnReport(const Report& report,
@@ -174,21 +179,26 @@ ArithmeticAtServerStrategy::ItemDrift& ArithmeticAtServerStrategy::Track(
   return d;
 }
 
-Report ArithmeticAtServerStrategy::BuildReport(SimTime now,
-                                               uint64_t interval) {
-  AtReport report;
-  report.interval = interval;
-  report.timestamp = now;
+void ArithmeticAtServerStrategy::BuildReportInto(SimTime now,
+                                                 uint64_t interval,
+                                                 Report* out) {
+  // The drift cache is a hash map filled on first sight of an item, off the
+  // lean strategies' allocation-free contract.
+  // detlint:allow-function(alloc-event-path)
+  AtReport* report = std::get_if<AtReport>(out);
+  if (report == nullptr) report = &out->emplace<AtReport>();
+  report->interval = interval;
+  report->timestamp = now;
+  report->ids.clear();
   for (const UpdatedItem& item : db_->UpdatedIn(now - latency_, now)) {
     ItemDrift& d = Track(item.id);
     if (std::fabs(d.numeric - d.last_reported) > epsilon_) {
-      report.ids.push_back(item.id);
+      report->ids.push_back(item.id);
       d.last_reported = d.numeric;
     } else {
       ++suppressions_;
     }
   }
-  return report;
 }
 
 double ArithmeticAtServerStrategy::CurrentNumeric(ItemId id) const {

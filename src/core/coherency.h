@@ -63,7 +63,7 @@ class QuasiAtServerStrategy : public ServerStrategy {
                         uint64_t alpha_intervals);
 
   StrategyKind kind() const override { return StrategyKind::kQuasiAt; }
-  Report BuildReport(SimTime now, uint64_t interval) override;
+  void BuildReportInto(SimTime now, uint64_t interval, Report* out) override;
   SimTime JournalHorizonSeconds() const override;
   void OnUplinkQuery(const UplinkQueryInfo& info) override;
 
@@ -130,7 +130,7 @@ class ArithmeticAtServerStrategy : public ServerStrategy {
                              SimTime latency, double epsilon);
 
   StrategyKind kind() const override { return StrategyKind::kQuasiAt; }
-  Report BuildReport(SimTime now, uint64_t interval) override;
+  void BuildReportInto(SimTime now, uint64_t interval, Report* out) override;
   SimTime JournalHorizonSeconds() const override { return latency_; }
 
   double epsilon() const { return epsilon_; }

@@ -32,15 +32,6 @@ void GroupedAtServerStrategy::ChangedGroups(SimTime now,
   }
 }
 
-Report GroupedAtServerStrategy::BuildReport(SimTime now, uint64_t interval) {
-  GroupedAtReport report;
-  report.interval = interval;
-  report.timestamp = now;
-  report.num_groups = grouping_.num_groups();
-  ChangedGroups(now, &report.groups);
-  return report;
-}
-
 void GroupedAtServerStrategy::BuildReportInto(SimTime now, uint64_t interval,
                                               Report* out) {
   GroupedAtReport* gat = std::get_if<GroupedAtReport>(out);

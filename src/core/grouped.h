@@ -42,7 +42,6 @@ class GroupedAtServerStrategy : public ServerStrategy {
                           uint32_t num_groups);
 
   StrategyKind kind() const override { return StrategyKind::kGroupedAt; }
-  Report BuildReport(SimTime now, uint64_t interval) override;
   void BuildReportInto(SimTime now, uint64_t interval, Report* out) override;
   bool AdvanceQuiet(SimTime now, uint64_t interval, const MessageSizes& sizes,
                     uint64_t* bits) override;

@@ -35,8 +35,8 @@ HybridSigServerStrategy::HybridSigServerStrategy(
 }
 
 void HybridSigServerStrategy::AttachUpdateFeed(Database* db) {
-  // Collect dirty ids as updates land instead of re-querying the journal
-  // per report (see SigServerStrategy::AttachUpdateFeed).
+  // Collect dirty ids as updates land (see
+  // SigServerStrategy::AttachUpdateFeed).
   dirty_flags_.assign(db->size(), 0);
   // One entry per item at most (the flags dedup); reserve the bound so the
   // observer never allocates across elided quiet stretches.
@@ -47,50 +47,27 @@ void HybridSigServerStrategy::AttachUpdateFeed(Database* db) {
       dirty_ids_.push_back(id);
     }
   });
-  feed_attached_ = true;
 }
 
 void HybridSigServerStrategy::FoldChangesThrough(
     SimTime now, std::vector<ItemId>* hot_out) {
   // One pass over the changes: hot changes are listed explicitly, cold
   // changes fold into the combined signatures.
-  if (feed_attached_) {
-    for (ItemId id : dirty_ids_) {
-      dirty_flags_[id] = 0;
-      if (std::binary_search(hot_set_.begin(), hot_set_.end(), id)) {
-        if (db_->LastUpdateOf(id) > now - latency_) {
-          // Appends to the caller's hot list — the broadcast path hands in
-          // the reused report's storage. detlint:allow(alloc-event-path)
-          hot_out->push_back(id);
-        }
-      } else {
-        state_.OnItemChanged(id);
+  assert(!dirty_flags_.empty() && "build before AttachUpdateFeed");
+  for (ItemId id : dirty_ids_) {
+    dirty_flags_[id] = 0;
+    if (std::binary_search(hot_set_.begin(), hot_set_.end(), id)) {
+      if (db_->LastUpdateOf(id) > now - latency_) {
+        // Appends to the caller's hot list — the broadcast path hands in
+        // the reused report's storage. detlint:allow(alloc-event-path)
+        hot_out->push_back(id);
       }
-    }
-    dirty_ids_.clear();
-  } else {
-    for (const UpdatedItem& item : db_->UpdatedIn(last_folded_, now)) {
-      if (std::binary_search(hot_set_.begin(), hot_set_.end(), item.id)) {
-        if (item.updated_at > now - latency_) {
-          // Same caller-owned hot list as above. detlint:allow(alloc-event-path)
-          hot_out->push_back(item.id);
-        }
-      } else {
-        state_.OnItemChanged(item.id);
-      }
+    } else {
+      state_.OnItemChanged(id);
     }
   }
+  dirty_ids_.clear();
   last_folded_ = now;
-}
-
-Report HybridSigServerStrategy::BuildReport(SimTime now, uint64_t interval) {
-  HybridReport report;
-  report.interval = interval;
-  report.timestamp = now;
-  FoldChangesThrough(now, &report.hot_ids);
-  std::sort(report.hot_ids.begin(), report.hot_ids.end());
-  report.combined = state_.Combined();
-  return report;
 }
 
 void HybridSigServerStrategy::BuildReportInto(SimTime now, uint64_t interval,

@@ -28,7 +28,6 @@ class HybridSigServerStrategy : public ServerStrategy {
                           SimTime latency, std::vector<ItemId> hot_set);
 
   StrategyKind kind() const override { return StrategyKind::kHybridSig; }
-  Report BuildReport(SimTime now, uint64_t interval) override;
   void BuildReportInto(SimTime now, uint64_t interval, Report* out) override;
   bool AdvanceQuiet(SimTime now, uint64_t interval, const MessageSizes& sizes,
                     uint64_t* bits) override;
@@ -36,12 +35,11 @@ class HybridSigServerStrategy : public ServerStrategy {
                             Report* out) override;
   void AttachUpdateFeed(Database* db) override;
   SimTime JournalHorizonSeconds() const override { return latency_; }
-  /// With the feed attached, FoldChangesThrough reads only the dirty set and
-  /// per-item slab timestamps, and no hybrid code path reads raw journal
-  /// entries (JournalIn / VersionAt), so every bucket may hold just the
-  /// per-interval digest.
+  /// FoldChangesThrough reads only the dirty set the attached feed
+  /// collects and per-item slab timestamps, so the server keeps no update
+  /// history.
   JournalRetention retention() const override {
-    return JournalRetention::kDigestOnly;
+    return JournalRetention::kNone;
   }
 
   const std::vector<ItemId>& hot_set() const { return hot_set_; }
@@ -49,7 +47,7 @@ class HybridSigServerStrategy : public ServerStrategy {
  private:
   /// One pass over the changes since the last snapshot: cold changes fold
   /// into the combined signatures, changed hot ids land in `*hot_out`
-  /// (unsorted — callers sort).
+  /// (unsorted — callers sort). Needs the update feed attached.
   void FoldChangesThrough(SimTime now, std::vector<ItemId>* hot_out);
 
   const Database* db_;
@@ -58,9 +56,7 @@ class HybridSigServerStrategy : public ServerStrategy {
   std::vector<ItemId> hot_set_;
   ServerSignatureState state_;
   SimTime last_folded_ = 0.0;
-  // Dirty-id set fed by the database observer (when attached); replaces the
-  // per-report UpdatedIn journal scan.
-  bool feed_attached_ = false;
+  // Dirty-id set fed by the database observer (AttachUpdateFeed).
   std::vector<uint8_t> dirty_flags_;
   std::vector<ItemId> dirty_ids_;
   // Hot ids of the interval most recently consumed by AdvanceQuiet, kept so

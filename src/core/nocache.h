@@ -22,12 +22,6 @@ class NullServerStrategy : public ServerStrategy {
       : retention_(retention) {}
 
   StrategyKind kind() const override { return StrategyKind::kNoCache; }
-  Report BuildReport(SimTime now, uint64_t interval) override {
-    NullReport report;
-    report.interval = interval;
-    report.timestamp = now;
-    return report;
-  }
   void BuildReportInto(SimTime now, uint64_t interval,
                        Report* out) override {
     NullReport* null = std::get_if<NullReport>(out);

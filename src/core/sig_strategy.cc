@@ -8,15 +8,14 @@ namespace mobicache {
 SigServerStrategy::SigServerStrategy(const Database* db,
                                      const SignatureFamily* family,
                                      SimTime latency)
-    : db_(db), family_(family), latency_(latency), state_(family, db) {
+    : family_(family), latency_(latency), state_(family, db) {
   assert(latency > 0.0);
   assert(family->n() == db->size());
 }
 
 void SigServerStrategy::AttachUpdateFeed(Database* db) {
-  // Collect dirty ids as updates land instead of re-querying the journal
-  // per report; OnItemChanged reads the current value, so folding once per
-  // dirty id at report time is exact.
+  // Collect dirty ids as updates land; OnItemChanged reads the current
+  // value, so folding once per dirty id at report time is exact.
   dirty_flags_.assign(db->size(), 0);
   // The flags dedup caps the list at one entry per item; size it for that
   // bound up front so the observer never allocates, even when elided quiet
@@ -28,34 +27,16 @@ void SigServerStrategy::AttachUpdateFeed(Database* db) {
       dirty_ids_.push_back(id);
     }
   });
-  feed_attached_ = true;
 }
 
 void SigServerStrategy::FoldChangesThrough(SimTime now) {
-  if (feed_attached_) {
-    for (ItemId id : dirty_ids_) {
-      state_.OnItemChanged(id);
-      dirty_flags_[id] = 0;
-    }
-    dirty_ids_.clear();
-  } else {
-    for (const UpdatedItem& item : db_->UpdatedIn(last_folded_, now)) {
-      state_.OnItemChanged(item.id);
-    }
+  assert(!dirty_flags_.empty() && "build before AttachUpdateFeed");
+  for (ItemId id : dirty_ids_) {
+    state_.OnItemChanged(id);
+    dirty_flags_[id] = 0;
   }
+  dirty_ids_.clear();
   last_folded_ = now;
-}
-
-Report SigServerStrategy::BuildReport(SimTime now, uint64_t interval) {
-  // Fold every item changed since the last snapshot into the combined
-  // signatures, then broadcast the current m signatures.
-  FoldChangesThrough(now);
-
-  SigReport report;
-  report.interval = interval;
-  report.timestamp = now;
-  report.combined = state_.Combined();
-  return report;
 }
 
 void SigServerStrategy::BuildReportInto(SimTime now, uint64_t interval,

@@ -26,7 +26,6 @@ class SigServerStrategy : public ServerStrategy {
                     SimTime latency);
 
   StrategyKind kind() const override { return StrategyKind::kSig; }
-  Report BuildReport(SimTime now, uint64_t interval) override;
   void BuildReportInto(SimTime now, uint64_t interval, Report* out) override;
   bool AdvanceQuiet(SimTime now, uint64_t interval, const MessageSizes& sizes,
                     uint64_t* bits) override;
@@ -34,29 +33,27 @@ class SigServerStrategy : public ServerStrategy {
                             Report* out) override;
   void AttachUpdateFeed(Database* db) override;
   SimTime JournalHorizonSeconds() const override { return latency_; }
-  /// With the feed attached, FoldChangesThrough reads only the dirty set,
-  /// and no SIG code path reads raw journal entries (JournalIn / VersionAt),
-  /// so every bucket may hold just the per-interval digest.
+  /// The combined signatures are a function of current values only
+  /// (state-based reports): FoldChangesThrough reads the dirty set the
+  /// attached feed collects, so the server keeps no update history.
   JournalRetention retention() const override {
-    return JournalRetention::kDigestOnly;
+    return JournalRetention::kNone;
   }
 
  private:
   /// Folds every item changed since the last snapshot into the combined
-  /// signatures (the state-advance half of BuildReport).
+  /// signatures (the state-advance half of BuildReportInto). Needs the
+  /// update feed attached.
   void FoldChangesThrough(SimTime now);
   /// Writes the current combined signatures into `*out`, reusing its
   /// storage when it already holds a SIG report.
   void FillReport(SimTime now, uint64_t interval, Report* out) const;
 
-  const Database* db_;
   const SignatureFamily* family_;
   SimTime latency_;
   ServerSignatureState state_;
   SimTime last_folded_ = 0.0;  // updates up to here are in `state_`
-  // Dirty-id set fed by the database observer (when attached); replaces the
-  // per-report UpdatedIn journal scan.
-  bool feed_attached_ = false;
+  // Dirty-id set fed by the database observer (AttachUpdateFeed).
   std::vector<uint8_t> dirty_flags_;
   std::vector<ItemId> dirty_ids_;
 };

@@ -80,26 +80,29 @@ class ServerStrategy {
 
   virtual StrategyKind kind() const = 0;
 
-  /// Builds the report broadcast at T = `now` with index `interval`.
-  virtual Report BuildReport(SimTime now, uint64_t interval) = 0;
+  /// Builds the report broadcast at T = `now` with index `interval` into
+  /// `*out`, reusing the storage `*out` already holds when it carries a
+  /// report of the same kind. The server's report arena recycles slots
+  /// through this so the steady-state broadcast path allocates nothing.
+  virtual void BuildReportInto(SimTime now, uint64_t interval,
+                               Report* out) = 0;
 
-  /// Builds the interval's report directly into `*out`, reusing the storage
-  /// `*out` already holds when it carries a report of the same kind. The
-  /// server's report arena recycles slots through this so the steady-state
-  /// broadcast path allocates nothing. Semantically identical to
-  /// `*out = BuildReport(now, interval)` — the default is exactly that.
-  virtual void BuildReportInto(SimTime now, uint64_t interval, Report* out) {
-    *out = BuildReport(now, interval);
+  /// By-value spelling of BuildReportInto for tests and benches: the same
+  /// build into a fresh Report.
+  Report BuildReport(SimTime now, uint64_t interval) {
+    Report report;
+    BuildReportInto(now, interval, &report);
+    return report;
   }
 
   /// Advances the strategy across one *quiet* interval — one whose report no
-  /// attached unit can hear — exactly as BuildReport(now, interval) would,
-  /// without materializing the report. On success writes the report's exact
+  /// attached unit can hear — exactly as BuildReportInto would, without
+  /// materializing the report. On success writes the report's exact
   /// airtime size (per ReportSizeBits with `sizes`) to `*bits` and returns
   /// true; the interval is then consumed (the next build continues from it)
   /// and MaterializeQuietInto() can still reconstruct its report. Returns false
   /// when the strategy has no advance cheaper than a full build (e.g. the
-  /// adaptive controller, whose reevaluation clock rides on BuildReport);
+  /// adaptive controller, whose reevaluation clock rides on the build);
   /// the server then falls back to building without delivering.
   virtual bool AdvanceQuiet(SimTime now, uint64_t interval,
                             const MessageSizes& sizes, uint64_t* bits) {
@@ -127,13 +130,11 @@ class ServerStrategy {
 
   /// The journal retention class this strategy requires of the server's
   /// database (see JournalRetention). Server::Start arms the database with
-  /// this declaration — replacing per-call-site journal toggles scattered
-  /// through the cell drivers — possibly raised by an instrumentation floor
-  /// (Server::SetRetentionFloor). kNone strategies never read update
-  /// history at all; kDigestOnly strategies consume updates exclusively
-  /// through the attached feed and window queries that per-interval digests
-  /// can serve exactly; the kFullWindow default keeps raw entries over the
-  /// report window.
+  /// this declaration, possibly raised by an instrumentation floor
+  /// (Server::SetRetentionFloor). kNone strategies never issue a window
+  /// query: their reports are empty or fold changes from the attached
+  /// update feed. The kFullWindow default keeps raw entries over the report
+  /// window.
   virtual JournalRetention retention() const {
     return JournalRetention::kFullWindow;
   }

@@ -55,16 +55,6 @@ void TsServerStrategy::AdvanceEntries(SimTime now, uint64_t interval) {
   prev_entries_.swap(next_scratch_);
 }
 
-Report TsServerStrategy::BuildReport(SimTime now, uint64_t interval) {
-  AdvanceEntries(now, interval);
-  TsReport report;
-  report.interval = interval;
-  report.timestamp = now;
-  report.window = window_;
-  report.entries = prev_entries_;
-  return report;
-}
-
 void TsServerStrategy::BuildReportInto(SimTime now, uint64_t interval,
                                        Report* out) {
   AdvanceEntries(now, interval);

@@ -24,7 +24,6 @@ class TsServerStrategy : public ServerStrategy {
                    uint64_t window_intervals);
 
   StrategyKind kind() const override { return StrategyKind::kTs; }
-  Report BuildReport(SimTime now, uint64_t interval) override;
   void BuildReportInto(SimTime now, uint64_t interval, Report* out) override;
   bool AdvanceQuiet(SimTime now, uint64_t interval, const MessageSizes& sizes,
                     uint64_t* bits) override;

@@ -17,21 +17,14 @@ namespace {
 /// the bucket's parallel SoA arrays.
 constexpr uint64_t kRawEntryBytes = sizeof(SimTime) + sizeof(ItemId);
 
-/// Primary storage cost of one elided digest entry: the UpdatedItem plus the
-/// recorded slab version (digest_versions slot). Counted for the entry's
-/// lifetime even after a lazy sort drops the versions — the summary's
-/// retained footprint, not the transient vector sizes, is what the
-/// journal_bytes_peak diagnostic reports.
-constexpr uint64_t kDigestEntryBytes = sizeof(UpdatedItem) + sizeof(uint64_t);
-
 /// Lines of slack the digest walk prefetches ahead of the filter cursor —
 /// far enough to cover a memory round-trip at 4 digest entries per step,
 /// near enough that the line is still resident when the cursor arrives.
 constexpr size_t kDigestPrefetchDistance = 8;
 
 /// Entries of slack the batched update walk prefetches ahead of the apply
-/// cursor. Each entry touches one random hot-slab line (plus a mark line
-/// when eliding); eight entries of lead time covers a DRAM round-trip.
+/// cursor. Each entry touches one random hot-slab line; eight entries of
+/// lead time covers a DRAM round-trip.
 constexpr size_t kBatchPrefetchDistance = 8;
 
 /// Recycled bucket storages kept around after pruning. The server batches
@@ -58,8 +51,6 @@ const char* JournalRetentionName(JournalRetention retention) {
   switch (retention) {
     case JournalRetention::kNone:
       return "none";
-    case JournalRetention::kDigestOnly:
-      return "digest";
     case JournalRetention::kFullWindow:
       return "full";
   }
@@ -137,36 +128,14 @@ void Database::PushBucket(int64_t index, size_t reserve_hint) {
     b.times.clear();
     b.ids.clear();
     b.digest.clear();
-    b.digest_versions.clear();
     b.digest_built = false;
     b.sealed = false;
-    b.digest_only = false;
-    b.raw_count = 0;
-    b.first_time = 0.0;
-    b.last_time = 0.0;
   } else {
     buckets_.emplace_back();
     buckets_.back().index = index;
   }
-  Bucket& b = buckets_.back();
-  // Representation is fixed by the retention class: digest-only under
-  // kDigestOnly, raw otherwise.
-  if (retention_ == JournalRetention::kDigestOnly) {
-    b.digest_only = true;
-    ++elide_epoch_;
-    ++elided_buckets_;
-    assert(elide_epoch_ < (uint64_t{1} << 32) && "elide epoch overflow");
-    // Reserve well past the largest digest any sealed elided bucket has
-    // needed, so the append path stays allocation-free once warm (recycled
-    // buckets carry their capacity; fresh ones pay once, here). The floor
-    // absorbs the first buckets, before the high-water mark means anything.
-    const size_t want = std::min(static_cast<size_t>(n_),
-                                 std::max<size_t>(64, 2 * digest_high_water_));
-    if (b.digest.capacity() < want) {
-      b.digest.reserve(want);
-      b.digest_versions.reserve(want);
-    }
-  } else if (reserve_hint > 0) {
+  if (reserve_hint > 0) {
+    Bucket& b = buckets_.back();
     b.times.reserve(reserve_hint);
     b.ids.reserve(reserve_hint);
   }
@@ -179,25 +148,18 @@ void Database::RecycleBucket(Bucket* bucket) {
   spare_buckets_.push_back(std::move(*bucket));
 }
 
-void Database::AppendJournal(ItemId id, SimTime now, uint64_t version) {
+void Database::AppendJournal(ItemId id, SimTime now) {
   const int64_t idx = BucketIndexFor(now);
   if (buckets_.empty()) {
     PushBucket(idx, /*reserve_hint=*/0);
   } else if (idx > buckets_.back().index) {
     Bucket& closing = buckets_.back();
     closing.sealed = true;
-    if (closing.digest_only && closing.digest.size() > digest_high_water_) {
-      digest_high_water_ = closing.digest.size();
-    }
     const size_t hint = closing.EntryCount();
     PushBucket(idx, hint);
   }
   Bucket& tail = buckets_.back();
   ++journal_entries_;
-  if (tail.digest_only) {
-    AppendJournalElided(id, now, version);
-    return;
-  }
   // Appends land in capacity reserved at bucket open (PushBucket's
   // reserve_hint); growth past the hint is amortized high-water.
   // detlint:allow(alloc-event-path)
@@ -208,40 +170,13 @@ void Database::AppendJournal(ItemId id, SimTime now, uint64_t version) {
   append_ids_cursor_ = tail.ids.data() + tail.ids.size();
 }
 
-void Database::AppendJournalElided(ItemId id, SimTime now, uint64_t version) {
-  Bucket& tail = buckets_.back();
-  if (tail.raw_count == 0) tail.first_time = now;
-  tail.last_time = now;
-  ++tail.raw_count;
-  uint64_t& mark = elide_marks_[id];
-  if ((mark >> 32) == elide_epoch_) {
-    // The id already has an entry in this bucket; this update supersedes it
-    // as the latest. Exact time ties (a zero exponential gap re-hitting the
-    // same id) would need the superseded entry kept for multiplicity — the
-    // raw digest keeps tied runs whole — but cannot occur with distinct
-    // version numbers on a strictly advancing clock; assert cheap.
-    const size_t slot = static_cast<uint32_t>(mark);
-    assert(tail.digest[slot].updated_at < now ||
-           tail.digest_versions[slot] + 1 == version);
-    tail.digest[slot].updated_at = now;
-    tail.digest_versions[slot] = version;
-    return;
-  }
-  mark = (elide_epoch_ << 32) | static_cast<uint32_t>(tail.digest.size());
-  // Lands in the digest capacity reserved at bucket open (2x the digest
-  // high-water mark); see PushBucket. detlint:allow(alloc-event-path)
-  tail.digest.push_back(UpdatedItem{id, now});
-  tail.digest_versions.push_back(version);  // detlint:allow(alloc-event-path) same reservation
-  journal_bytes_ += kDigestEntryBytes;
-}
-
 void Database::ApplyUpdate(ItemId id, SimTime now) {
   assert(id < n_);
   assert(journal_entries_ == 0 || now >= JournalTailTime());
   HotItem& item = hot_[id];
   ++item.version;
   item.last_update = now;
-  if (journal_enabled_) AppendJournal(id, now, item.version);
+  if (journal_enabled()) AppendJournal(id, now);
   ++total_updates_;
   DispatchUpdateObservers(id, now);
 }
@@ -260,7 +195,7 @@ void Database::ApplyUpdateBatch(const ItemId* ids, const SimTime* times,
 #endif
   const bool observed = single_observer_ != nullptr || multi_observers_;
   if (!observed) {
-    if (journal_enabled_) {
+    if (journal_enabled()) {
       ApplyBatchJournal(ids, times, count);
     } else {
       ApplyBatchSlabOnly(ids, times, count);
@@ -278,7 +213,7 @@ void Database::ApplyUpdateBatch(const ItemId* ids, const SimTime* times,
       HotItem& item = hot_[id];
       ++item.version;
       item.last_update = now;
-      if (journal_enabled_) AppendJournal(id, now, item.version);
+      if (journal_enabled()) AppendJournal(id, now);
       DispatchUpdateObservers(id, now);
     }
   }
@@ -302,17 +237,11 @@ void Database::ApplyBatchSlabOnly(const ItemId* ids, const SimTime* times,
 
 void Database::ApplyBatchJournal(const ItemId* ids, const SimTime* times,
                                  size_t count) {
-  // Digest-only appends probe elide_marks_[id] — a second random line per
-  // entry — so prefetch it alongside the slab line for the same future entry.
-  const bool marks = retention_ == JournalRetention::kDigestOnly;
   for (size_t i = 0; i < count; ++i) {
 #if defined(__GNUC__) || defined(__clang__)
     if (i + kBatchPrefetchDistance < count) {
-      const ItemId ahead = ids[i + kBatchPrefetchDistance];
-      __builtin_prefetch(&hot_[ahead], /*rw=*/1, /*locality=*/1);
-      if (marks) {
-        __builtin_prefetch(&elide_marks_[ahead], /*rw=*/1, /*locality=*/1);
-      }
+      __builtin_prefetch(&hot_[ids[i + kBatchPrefetchDistance]], /*rw=*/1,
+                         /*locality=*/1);
     }
 #endif
     const ItemId id = ids[i];
@@ -320,27 +249,8 @@ void Database::ApplyBatchJournal(const ItemId* ids, const SimTime* times,
     HotItem& item = hot_[id];
     ++item.version;
     item.last_update = now;
-    AppendJournal(id, now, item.version);
+    AppendJournal(id, now);
   }
-}
-
-void Database::EnableJournalElision() {
-  if (!elide_marks_.empty()) return;
-  assert(journal_enabled_ && "digest-only buckets need a live journal");
-  elide_marks_.assign(n_, 0);
-  // Epoch 0 would make the zero-initialized marks look current for slot 0;
-  // start at 1 so every mark begins stale.
-  elide_epoch_ = 1;
-}
-
-void Database::SortElidedDigest(const Bucket& bucket) {
-  assert(bucket.digest_only);
-  std::sort(bucket.digest.begin(), bucket.digest.end(), ByItemId);
-  // The versions were parallel to the append order; rather than permute
-  // them alongside, drop them — queries identify still-latest entries
-  // through the hot slab, and a queried bucket's summary role is over.
-  bucket.digest_versions.clear();
-  bucket.digest_built = true;
 }
 
 void Database::RebuildObserverFastPath() {
@@ -356,10 +266,9 @@ void Database::RebuildObserverFastPath() {
   multi_observers_ = live > 1;
 }
 
-void Database::SetJournalEnabled(bool enabled) {
-  if (enabled == journal_enabled_) return;
-  journal_enabled_ = enabled;
-  if (!enabled) {
+void Database::SetRetention(JournalRetention retention) {
+  retention_ = retention;
+  if (retention == JournalRetention::kNone) {
     buckets_.clear();
     spare_buckets_.clear();
     journal_entries_ = 0;
@@ -370,30 +279,9 @@ void Database::SetJournalEnabled(bool enabled) {
   }
 }
 
-void Database::SetRetention(JournalRetention retention) {
-  retention_ = retention;
-  switch (retention) {
-    case JournalRetention::kNone:
-      SetJournalEnabled(false);
-      break;
-    case JournalRetention::kDigestOnly:
-      SetJournalEnabled(true);
-      EnableJournalElision();
-      break;
-    case JournalRetention::kFullWindow:
-      SetJournalEnabled(true);
-      break;
-  }
-}
-
 void Database::SetJournalBucketWidth(SimTime width) {
   assert(width >= 0.0);
   if (width == bucket_width_) return;
-#ifndef NDEBUG
-  // Re-bucketing replays raw entries; elided buckets have none to replay.
-  // The server sets the width once at Start(), before arming retention.
-  for (const Bucket& bucket : buckets_) assert(!bucket.digest_only);
-#endif
   std::vector<SimTime> all_times;
   std::vector<ItemId> all_ids;
   all_times.reserve(journal_entries_);
@@ -409,9 +297,7 @@ void Database::SetJournalBucketWidth(SimTime width) {
   // Entries survive re-bucketing; the replay below re-adds their bytes.
   journal_bytes_ = 0;
   for (size_t i = 0; i < all_times.size(); ++i) {
-    // Version 0 is fine: raw buckets ignore it, and re-bucketing precedes
-    // any digest-only bucket (asserted above).
-    AppendJournal(all_ids[i], all_times[i], /*version=*/0);
+    AppendJournal(all_ids[i], all_times[i]);
   }
 }
 
@@ -426,7 +312,7 @@ void Database::UpdatedIn(SimTime lo, SimTime hi,
   // Every append below lands in `out` (caller-owned scratch, reused across
   // intervals) or `merge_starts_` (member scratch); both retain capacity, so
   // the steady state allocates nothing. detlint:allow-function(alloc-event-path)
-  assert(journal_enabled_ && "window query against a disabled journal");
+  assert(journal_enabled() && "window query against a disabled journal");
   out->clear();
   if (hi <= lo) return;
   // Per-bucket id-sorted segments, merged pairwise below.
@@ -436,29 +322,8 @@ void Database::UpdatedIn(SimTime lo, SimTime hi,
     if (!bucket.HasEntries() || bucket.LastTime() <= lo) continue;
     if (bucket.FirstTime() > hi) break;
     starts.push_back(out->size());
-    if (bucket.digest_only) {
-      // Elided bucket: only the per-id latest-update summary exists — which
-      // is exactly what the raw scan's is-still-latest filter can ever
-      // emit (an entry superseded within the bucket is never the item's
-      // globally latest update). Filter by window and slab, already
-      // id-sorted once the lazy sort has run.
-      if (!bucket.digest_built) SortElidedDigest(bucket);
-      const std::vector<UpdatedItem>& d = bucket.digest;
-      const size_t m = d.size();
-      for (size_t i = 0; i < m; ++i) {
-#if defined(__GNUC__) || defined(__clang__)
-        if (i + kDigestPrefetchDistance < m) {
-          __builtin_prefetch(&hot_[d[i + kDigestPrefetchDistance].id],
-                             /*rw=*/0, /*locality=*/1);
-        }
-#endif
-        if (d[i].updated_at > lo && d[i].updated_at <= hi &&
-            hot_[d[i].id].last_update == d[i].updated_at) {
-          out->push_back(d[i]);
-        }
-      }
-    } else if (bucket.sealed && lo < bucket.times.front() &&
-               bucket.times.back() <= hi) {
+    if (bucket.sealed && lo < bucket.times.front() &&
+        bucket.times.back() <= hi) {
       // Whole bucket inside the window: splice the digest (built on the
       // first such query, reused by every later one). The is-still-latest
       // filter reads one random hot-slab line per entry; prefetching a few
@@ -508,22 +373,14 @@ void Database::UpdatedIn(SimTime lo, SimTime hi,
 }
 
 uint64_t Database::CountUpdatedIn(SimTime lo, SimTime hi) const {
-  assert(journal_enabled_ && "window query against a disabled journal");
+  assert(journal_enabled() && "window query against a disabled journal");
   uint64_t count = 0;
   if (hi <= lo) return count;
   for (const Bucket& bucket : buckets_) {
     if (!bucket.HasEntries() || bucket.LastTime() <= lo) continue;
     if (bucket.FirstTime() > hi) break;
-    if (bucket.digest_only) {
-      if (!bucket.digest_built) SortElidedDigest(bucket);
-      for (const UpdatedItem& d : bucket.digest) {
-        if (d.updated_at > lo && d.updated_at <= hi &&
-            hot_[d.id].last_update == d.updated_at) {
-          ++count;
-        }
-      }
-    } else if (bucket.sealed && lo < bucket.times.front() &&
-               bucket.times.back() <= hi) {
+    if (bucket.sealed && lo < bucket.times.front() &&
+        bucket.times.back() <= hi) {
       if (!bucket.digest_built) BuildDigest(bucket);
       for (const UpdatedItem& d : bucket.digest) {
         if (hot_[d.id].last_update == d.updated_at) ++count;
@@ -540,15 +397,12 @@ uint64_t Database::CountUpdatedIn(SimTime lo, SimTime hi) const {
 }
 
 std::vector<UpdatedItem> Database::JournalIn(SimTime lo, SimTime hi) const {
-  assert(journal_enabled_ && "journal scan against a disabled journal");
+  assert(journal_enabled() && "journal scan against a disabled journal");
   std::vector<UpdatedItem> out;
   if (hi <= lo) return out;
   for (const Bucket& bucket : buckets_) {
     if (!bucket.HasEntries() || bucket.LastTime() <= lo) continue;
     if (bucket.FirstTime() > hi) break;
-    assert(!bucket.digest_only &&
-           "raw journal scan into a digest-only bucket (strategies that read "
-           "JournalIn must declare kFullWindow)");
     const size_t n = bucket.times.size();
     for (size_t i = FirstAfter(bucket.times, lo);
          i < n && bucket.times[i] <= hi; ++i) {
@@ -560,7 +414,7 @@ std::vector<UpdatedItem> Database::JournalIn(SimTime lo, SimTime hi) const {
 
 uint64_t Database::VersionAt(ItemId id, SimTime t) const {
   assert(id < n_);
-  assert(journal_enabled_ && "historical read against a disabled journal");
+  assert(journal_enabled() && "historical read against a disabled journal");
   uint64_t after = 0;
   // Updates strictly after t are still in the journal (caller's contract).
   // Buckets are time-ordered: walk back from the newest and stop at the
@@ -570,9 +424,6 @@ uint64_t Database::VersionAt(ItemId id, SimTime t) const {
     const Bucket& bucket = *--it;
     if (!bucket.HasEntries()) continue;
     if (bucket.LastTime() <= t) break;
-    assert(!bucket.digest_only &&
-           "historical read into an elided bucket (per-id multiplicity was "
-           "not retained)");
     const size_t n = bucket.times.size();
     for (size_t i = FirstAfter(bucket.times, t); i < n; ++i) {
       if (bucket.ids[i] == id) ++after;
@@ -592,17 +443,11 @@ void Database::PruneJournalBefore(SimTime horizon) {
          buckets_.front().LastTime() <= horizon) {
     const Bucket& front = buckets_.front();
     journal_entries_ -= front.EntryCount();
-    journal_bytes_ -= front.digest_only
-                          ? kDigestEntryBytes * front.digest.size()
-                          : kRawEntryBytes * front.times.size();
+    journal_bytes_ -= kRawEntryBytes * front.times.size();
     RecycleBucket(&buckets_.front());
     buckets_.pop_front();
   }
   if (buckets_.empty() || buckets_.front().FirstTime() > horizon) return;
-  // Elided front bucket partially past the horizon: keep it whole. Pruning
-  // exists to bound memory, not for correctness — window queries filter by
-  // time — and the per-id dedup already bounds the bucket's size.
-  if (buckets_.front().digest_only) return;
   // Partially covered front bucket: trim the raw prefix and any digest
   // entries that fell with it (a digest entry at or before the horizon can
   // no longer be any surviving entry's latest time).

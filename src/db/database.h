@@ -25,15 +25,8 @@
 // allocates nothing.
 //
 // The retention class (JournalRetention, armed once by the server from the
-// strategy's declaration) alone decides how every bucket is stored. Under
-// kDigestOnly — strategies that consume updates through their feed and never
-// read raw entries (SIG, hybrid) — buckets skip the raw time/id arrays
-// entirely and maintain the digest directly: each id once at its latest
-// in-bucket time, deduplicated in place through an epoch-tagged per-item
-// mark, plus the raw entry count and per-entry slab versions, a summary
-// sufficient to serve any window query (the digest filtered by window and
-// is-still-latest equals the raw scan's output exactly). The raw readers
-// (JournalIn, VersionAt) assert they never meet a digest-only bucket.
+// strategy's declaration) is the one journal switch: kNone keeps no journal
+// at all, kFullWindow keeps the raw buckets above.
 
 #ifndef MOBICACHE_DB_DATABASE_H_
 #define MOBICACHE_DB_DATABASE_H_
@@ -73,27 +66,23 @@ struct UpdatedItem {
 
 /// How much update history the database must retain for the strategy it
 /// serves. Strategies declare their class (ServerStrategy::retention) and
-/// Server::Start arms the database accordingly. The class is the one thing
-/// that decides how every journal bucket is stored:
+/// Server::Start arms the database accordingly:
 ///
 ///  * kNone        — no journal at all. The strategy never issues a window
-///                   query (no-caching); every journal append would be pure
-///                   overhead on the hottest path.
-///  * kDigestOnly  — per-interval digests only, no raw entries. The strategy
-///                   consumes updates through an attached feed and never
-///                   reads JournalIn/VersionAt (SIG, hybrid), so every
-///                   bucket is digest-only.
+///                   query: no-caching, whose reports are empty, and the
+///                   signature schemes (SIG, hybrid), whose state-based
+///                   reports fold changes from the attached update feed.
+///                   Every journal append would be pure overhead on the
+///                   hottest path.
 ///  * kFullWindow  — raw entries over the report window (TS, AT, grouped,
 ///                   adaptive, or any strategy under an answer-observer
-///                   floor). The default; every bucket keeps its raw
-///                   entries.
+///                   floor). The default.
 enum class JournalRetention : uint8_t {
   kNone,
-  kDigestOnly,
   kFullWindow,
 };
 
-/// Short name for bench/JSON output ("none", "digest", "full").
+/// Short name for bench/JSON output ("none", "full").
 const char* JournalRetentionName(JournalRetention retention);
 
 /// The replicated database held by the stationary server. Single-writer (the
@@ -210,16 +199,20 @@ class Database {
   size_t journal_size() const { return journal_entries_; }
 
   /// Arms the retention class the strategy declared (see JournalRetention):
-  /// kNone disables the journal, kDigestOnly stores every bucket opened from
-  /// here on digest-only, kFullWindow keeps the default raw-bucket journal.
-  /// Call before any updates flow; the server wires it in Start().
+  /// kNone disables the journal and drops any existing entries, kFullWindow
+  /// keeps the raw-bucket journal. The one journal switch; the history
+  /// readers (UpdatedIn, JournalIn, VersionAt) assert the journal is live,
+  /// so misuse fails loudly in debug builds. Call before any updates flow;
+  /// the server wires it in Start().
   void SetRetention(JournalRetention retention);
   JournalRetention retention() const { return retention_; }
+  bool journal_enabled() const {
+    return retention_ != JournalRetention::kNone;
+  }
 
   /// Primary journal storage held right now / at its high-water mark over
-  /// the run, in bytes: 12 per raw entry (time + id), 24 per digest entry
-  /// (UpdatedItem + recorded version) in elided buckets. Derived digests of
-  /// raw buckets are query caches, not retention, and are excluded.
+  /// the run, in bytes: 12 per raw entry (time + id). Derived digests of
+  /// sealed buckets are query caches, not retention, and are excluded.
   uint64_t journal_bytes() const { return journal_bytes_; }
   uint64_t journal_bytes_peak() const {
     return journal_bytes_ > journal_bytes_peak_ ? journal_bytes_
@@ -232,18 +225,6 @@ class Database {
   /// broadcast schedule.
   void SetJournalBucketWidth(SimTime width);
   SimTime journal_bucket_width() const { return bucket_width_; }
-
-  /// Disables (or re-enables) the update journal. A no-caching cell builds
-  /// empty reports and never issues a window query, so journaling its update
-  /// stream — two appends plus a prune per interval — is pure overhead on
-  /// the hottest path in the simulator. Disabling drops any existing
-  /// entries; the history readers (UpdatedIn, JournalIn, VersionAt) assert
-  /// the journal is live, so misuse fails loudly in debug builds.
-  void SetJournalEnabled(bool enabled);
-  bool journal_enabled() const { return journal_enabled_; }
-
-  /// Journal buckets stored digest-only since construction (diagnostic).
-  uint64_t elided_journal_buckets() const { return elided_buckets_; }
 
   /// Installs a callback invoked after every ApplyUpdate. Used by the
   /// stateful-server baseline, which reacts to individual updates instead of
@@ -285,31 +266,15 @@ class Database {
     /// Built lazily on the first fully-covering window query of a sealed
     /// bucket: each id once at its latest in-bucket time (ties kept with
     /// their multiplicity), ascending by id. `mutable` because the build is
-    /// a cache fill under const query methods. Elided (digest_only) buckets
-    /// maintain it directly instead of the raw arrays — append order while
-    /// open, id-sorted lazily by the first query that needs it.
+    /// a cache fill under const query methods.
     mutable std::vector<UpdatedItem> digest;
     mutable bool digest_built = false;
     bool sealed = false;  ///< The clock has moved past this bucket.
-    /// Elided representation (see the file comment): times/ids stay empty.
-    bool digest_only = false;
-    /// Slab version written by each digest entry's update, parallel to
-    /// `digest` while in append order (the "(count, per-item last-version)"
-    /// summary). Dropped when the digest gets id-sorted — queries identify
-    /// still-latest entries through the hot slab, not the version.
-    mutable std::vector<uint64_t> digest_versions;
-    size_t raw_count = 0;       ///< Raw updates absorbed (digest_only).
-    SimTime first_time = 0.0;   ///< First/last raw update time
-    SimTime last_time = 0.0;    ///< (digest_only; raw buckets use times).
 
-    bool HasEntries() const {
-      return digest_only ? raw_count > 0 : !times.empty();
-    }
-    SimTime FirstTime() const {
-      return digest_only ? first_time : times.front();
-    }
-    SimTime LastTime() const { return digest_only ? last_time : times.back(); }
-    size_t EntryCount() const { return digest_only ? raw_count : times.size(); }
+    bool HasEntries() const { return !times.empty(); }
+    SimTime FirstTime() const { return times.front(); }
+    SimTime LastTime() const { return times.back(); }
+    size_t EntryCount() const { return times.size(); }
   };
 
   /// FIFO of journal buckets over a flat vector: pop_front leaves a dead
@@ -368,15 +333,7 @@ class Database {
     return SyntheticValue(seed_, id, version);
   }
   int64_t BucketIndexFor(SimTime t) const;
-  /// `version` is the slab version just written for `id` (recorded by the
-  /// elided representation; raw buckets ignore it).
-  void AppendJournal(ItemId id, SimTime now, uint64_t version);
-  /// Pre-sizes the per-item dedup marks so the digest-only append path never
-  /// allocates (SetRetention(kDigestOnly)).
-  void EnableJournalElision();
-  /// Digest-only append into the open tail bucket: overwrite the id's
-  /// existing entry (epoch-tagged mark hit) or append a new one.
-  void AppendJournalElided(ItemId id, SimTime now, uint64_t version);
+  void AppendJournal(ItemId id, SimTime now);
   /// Time of the newest journal entry (assert support for the monotonic
   /// append contract). Journal must be non-empty.
   SimTime JournalTailTime() const {
@@ -391,13 +348,9 @@ class Database {
       for (const auto& observer : extra_observers_) observer(id, now);
     }
   }
-  /// Id-sorts an elided bucket's digest on its first query (the lazy
-  /// equivalent of BuildDigest; drops the no-longer-aligned versions).
-  static void SortElidedDigest(const Bucket& bucket);
   /// ApplyUpdateBatch specializations: the slab-only walk hands the whole
   /// chunk to the SIMD kernel (no per-entry journal/observer work exists);
-  /// the journal walk prefetches the slab line and — when the tail bucket
-  /// elides — the dedup-mark line for the same future entry.
+  /// the journal walk prefetches the slab line of a future entry.
   void ApplyBatchSlabOnly(const ItemId* ids, const SimTime* times,
                           size_t count);
   void ApplyBatchJournal(const ItemId* ids, const SimTime* times,
@@ -434,18 +387,6 @@ class Database {
   uint64_t journal_bytes_peak_ = 0;
   SimTime bucket_width_ = 0.0;
   JournalRetention retention_ = JournalRetention::kFullWindow;
-  bool journal_enabled_ = true;
-  uint64_t elided_buckets_ = 0;
-  /// Per-item dedup marks for the open elided bucket: high 32 bits hold the
-  /// bucket epoch, low 32 the digest slot. A stale epoch is simply a miss,
-  /// so switching buckets is O(1). Empty unless kDigestOnly was armed.
-  std::vector<uint64_t> elide_marks_;
-  uint64_t elide_epoch_ = 0;  ///< Bumped per elided bucket; starts marks stale.
-  /// High-water distinct-item count across sealed elided buckets. Newly
-  /// opened elided buckets reserve twice this (capped at n), so steady-state
-  /// digest appends stay allocation-free: a realloc needs one bucket to
-  /// double the record distinct count.
-  size_t digest_high_water_ = 0;
   uint64_t total_updates_ = 0;
   uint64_t seed_;
   std::function<void(ItemId, SimTime)> observer_;

@@ -191,8 +191,8 @@ Status Cell::Build() {
   sim_->Reserve(1024);
   db_ = std::make_unique<Database>(m.n, db_seed);
   // Journal retention is armed by Server::Start from the strategy's
-  // declaration (kNone for no-caching, kDigestOnly for SIG/hybrid, full raw
-  // buckets otherwise), possibly raised by Run's answer-observer floor.
+  // declaration (kNone for no-caching, SIG and hybrid, full raw buckets
+  // otherwise), possibly raised by Run's answer-observer floor.
   if (cc.update_rates.empty()) {
     updates_ = std::make_unique<UpdateGenerator>(sim_.get(), db_.get(), m.mu,
                                                  update_seed);

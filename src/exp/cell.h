@@ -44,11 +44,11 @@
 // Uplink semantics. An uplink fetch answers with the item's value at the
 // fetch instant, as the paper's uplink does. Under kFullWindow retention the
 // shard reads it from the journal (Database::ValueAt at the shard clock).
-// Digest-only and kNone retention keep no raw entries, so the shard serves
-// the value as of the window cut instead — up to one interval newer — and
-// no statistic can tell: SIG and hybrid clients are validated by reports,
-// so any update in (fetch, cut) invalidates the copy at the next report
-// before it can answer a hit, and no-caching never hits. An answer observer
+// kNone retention keeps no journal, so the shard serves the value as of the
+// window cut instead — up to one interval newer — and no statistic can
+// tell: SIG and hybrid clients are validated by reports, so any update in
+// (fetch, cut) invalidates the copy at the next report before it can answer
+// a hit, and no-caching never hits. An answer observer
 // (the only reader of answered values) raises the retention floor to
 // kFullWindow for the run, so audits always see fetch-instant values.
 //

@@ -18,8 +18,27 @@ Status NormalizeCellConfig(CellConfig* config) {
   if (m.n == 0) return Status::InvalidArgument("database size must be >= 1");
   if (m.L <= 0.0) return Status::InvalidArgument("latency must be positive");
   if (m.W <= 0.0) return Status::InvalidArgument("bandwidth must be positive");
-  if (m.s < 0.0 || m.s > 1.0) {
+  // Negated comparisons throughout: NaN fails every comparison, so each
+  // check rejects it along with the out-of-range values.
+  if (!(m.s >= 0.0 && m.s <= 1.0)) {
     return Status::InvalidArgument("sleep probability must be in [0, 1]");
+  }
+  if (!(m.lambda >= 0.0)) {
+    return Status::InvalidArgument("query rate lambda must be >= 0");
+  }
+  if (!(m.mu >= 0.0)) {
+    return Status::InvalidArgument("update rate mu must be >= 0");
+  }
+  if (!(config->mean_jitter_seconds >= 0.0)) {
+    return Status::InvalidArgument("mean_jitter_seconds must be >= 0");
+  }
+  if (config->renewal_sleep && !(config->mean_awake_seconds > 0.0 &&
+                                 config->mean_sleep_seconds > 0.0)) {
+    return Status::InvalidArgument(
+        "renewal sleep needs positive mean awake and sleep periods");
+  }
+  if (!(config->query_zipf_theta >= 0.0)) {
+    return Status::InvalidArgument("query_zipf_theta must be >= 0");
   }
   if (config->hotspot_size == 0 || config->hotspot_size > m.n) {
     return Status::InvalidArgument("hotspot size must be in [1, n]");
@@ -49,6 +68,11 @@ Status NormalizeCellConfig(CellConfig* config) {
   }
   if (!config->update_rates.empty() && config->update_rates.size() != m.n) {
     return Status::InvalidArgument("update_rates size must equal n");
+  }
+  for (double rate : config->update_rates) {
+    if (!(rate >= 0.0)) {
+      return Status::InvalidArgument("update_rates entries must be >= 0");
+    }
   }
   if (config->strategy == StrategyKind::kHybridSig) {
     if (config->hybrid_hot_set.empty()) {

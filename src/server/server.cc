@@ -45,8 +45,7 @@ Status Server::Start() {
   db_->SetJournalBucketWidth(config_.latency);
   // Arm the retention class the strategy declared (possibly raised by an
   // instrumentation floor): no journal at all for strategies that never
-  // read update history, digest-only buckets for feed-driven strategies
-  // that never touch raw entries, full raw retention otherwise.
+  // read update history, full raw retention otherwise.
   db_->SetRetention(std::max(strategy_->retention(), retention_floor_));
   strategy_->AttachUpdateFeed(db_);
   broadcaster_ = std::make_unique<PeriodicProcess>(

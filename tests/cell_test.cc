@@ -1,4 +1,6 @@
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -51,6 +53,68 @@ TEST(CellTest, RejectsInvalidConfigs) {
     EXPECT_FALSE(Cell(c).Build().ok());
   }
 }
+
+// Numeric inputs whose only other guard is a constructor assert, compiled
+// out of release builds: Build() must reject each with InvalidArgument.
+struct BadNumericCase {
+  const char* name;
+  void (*corrupt)(CellConfig*);
+};
+
+class CellRejectsBadNumericTest
+    : public ::testing::TestWithParam<BadNumericCase> {};
+
+TEST_P(CellRejectsBadNumericTest, BuildReturnsInvalidArgument) {
+  CellConfig c = SmallConfig(StrategyKind::kTs);
+  GetParam().corrupt(&c);
+  const Status st = Cell(c).Build();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, CellRejectsBadNumericTest,
+    ::testing::Values(
+        BadNumericCase{"SleepProbabilityNaN",
+                       [](CellConfig* c) { c->model.s = kNaN; }},
+        BadNumericCase{"LambdaNegative",
+                       [](CellConfig* c) { c->model.lambda = -0.1; }},
+        BadNumericCase{"LambdaNaN",
+                       [](CellConfig* c) { c->model.lambda = kNaN; }},
+        BadNumericCase{"MuNegative",
+                       [](CellConfig* c) { c->model.mu = -1e-3; }},
+        BadNumericCase{"MuNaN", [](CellConfig* c) { c->model.mu = kNaN; }},
+        BadNumericCase{"UpdateRateNegative",
+                       [](CellConfig* c) {
+                         c->update_rates.assign(c->model.n, 1e-3);
+                         c->update_rates[17] = -1e-3;
+                       }},
+        BadNumericCase{"UpdateRateNaN",
+                       [](CellConfig* c) {
+                         c->update_rates.assign(c->model.n, 1e-3);
+                         c->update_rates[17] = kNaN;
+                       }},
+        BadNumericCase{"MeanJitterNegative",
+                       [](CellConfig* c) {
+                         c->delivery = DeliveryModelKind::kCsmaJitter;
+                         c->mean_jitter_seconds = -0.5;
+                       }},
+        BadNumericCase{"MeanAwakeZeroUnderRenewalSleep",
+                       [](CellConfig* c) {
+                         c->renewal_sleep = true;
+                         c->mean_awake_seconds = 0.0;
+                       }},
+        BadNumericCase{"MeanSleepNegativeUnderRenewalSleep",
+                       [](CellConfig* c) {
+                         c->renewal_sleep = true;
+                         c->mean_sleep_seconds = -5.0;
+                       }},
+        BadNumericCase{"QueryZipfThetaNegative",
+                       [](CellConfig* c) { c->query_zipf_theta = -0.5; }}),
+    [](const ::testing::TestParamInfo<BadNumericCase>& param_info) {
+      return std::string(param_info.param.name);
+    });
 
 TEST(CellTest, LifecycleEnforced) {
   Cell cell(SmallConfig(StrategyKind::kAt));

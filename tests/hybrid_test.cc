@@ -42,7 +42,9 @@ struct HybridRig {
       : db(300, 3),
         family(300, Params(300), 17),
         hot{1, 2, 3},
-        server(&db, &family, kL, hot) {}
+        server(&db, &family, kL, hot) {
+    server.AttachUpdateFeed(&db);
+  }
 
   HybridReport Build(uint64_t interval) {
     return std::get<HybridReport>(

@@ -338,10 +338,10 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(StrategyName(param_info.param));
     });
 
-// SIG declares digest-only retention, but an answer observer audits values
-// with ValueAt, a raw journal read: Run must raise the floor to full
-// retention before the server arms the journal. Without the floor a Debug
-// build stops at VersionAt's digest-only assert.
+// SIG declares kNone retention, but an answer observer audits values with
+// ValueAt, a raw journal read: Run must raise the floor to full retention
+// before the server arms the journal. Without the floor a Debug build stops
+// at VersionAt's live-journal assert.
 TEST(MegaCellTest, AnswerObserverRaisesRetentionFloorOnShards) {
   CellConfig config = BaseConfig(StrategyKind::kSig);
   Cell cell(config, 2);

@@ -1,23 +1,24 @@
 // Strategy-driven journal retention (db/database.h, server/server.cc):
 // every ServerStrategy declares how much update history the server-side
-// journal must keep, Server::Start arms the database with the declared
+// journal must keep, and Server::Start arms the database with the declared
 // class (raised by the cell's retention floor when an answer observer needs
-// historical ground truth), and the database's per-class representations
-// must stay observationally equivalent where the contract says they are:
+// historical ground truth):
 //
-//  * the retention class alone decides each bucket's shape: a kFullWindow
-//    floor keeps every bucket raw even through elided quiet stretches, and
-//    a kDigestOnly cell's digest-only bucket count ignores quiet elision;
-//  * twin databases fed the identical update stream under kFullWindow and
-//    kDigestOnly retention answer the same window queries (UpdatedIn /
-//    CountUpdatedIn) over any window the report builders use — aligned,
-//    partial, inside one bucket, or spanning several — for batched and
-//    per-update appends alike;
+//  * the retention class alone decides whether a journal exists: SIG and
+//    hybrid keep none with quiet elision on or off, and a kFullWindow floor
+//    keeps raw buckets even through elided quiet stretches;
+//  * a kFullWindow database answers every window query the report builders
+//    use — aligned, partial, inside one bucket, or spanning several —
+//    exactly as a brute-force scan of the same update stream does
+//    (UpdatedIn / CountUpdatedIn / JournalIn), for batched and per-update
+//    appends alike;
 //  * kNone keeps no journal at all — zero entries, zero bytes, forever;
 //  * journal_bytes_peak is a true high-water mark: monotone under appends
 //    and unaffected by pruning.
 
 #include <cstdint>
+#include <iterator>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
@@ -67,9 +68,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllStrategies, RetentionDeclarationTest,
     ::testing::Values(
         DeclarationCase{StrategyKind::kNoCache, JournalRetention::kNone},
-        DeclarationCase{StrategyKind::kSig, JournalRetention::kDigestOnly},
-        DeclarationCase{StrategyKind::kHybridSig,
-                        JournalRetention::kDigestOnly},
+        DeclarationCase{StrategyKind::kSig, JournalRetention::kNone},
+        DeclarationCase{StrategyKind::kHybridSig, JournalRetention::kNone},
         DeclarationCase{StrategyKind::kTs, JournalRetention::kFullWindow},
         DeclarationCase{StrategyKind::kAt, JournalRetention::kFullWindow},
         DeclarationCase{StrategyKind::kGroupedAt,
@@ -85,7 +85,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(RetentionFloorTest, FloorRaisesDeclaredClassButNeverLowersIt) {
-  // A digest-only strategy with a kFullWindow floor (the answer-observer
+  // A journal-less strategy with a kFullWindow floor (the answer-observer
   // case) must end up with raw retention...
   {
     Cell cell(BaseConfig(StrategyKind::kSig));
@@ -104,12 +104,12 @@ TEST(RetentionFloorTest, FloorRaisesDeclaredClassButNeverLowersIt) {
   }
 }
 
-// The retention class alone decides a bucket's shape, whatever the quiet
-// elision does. An answer observer raises SIG and hybrid to kFullWindow, and
-// then no bucket may be laid down digest-only — not even while every unit
-// sleeps and the broadcasts elide, which is exactly when the audit's
-// ValueAt reads need the raw entries. Without the observer (kDigestOnly)
-// the digest-only bucket count is the same with elision on and off.
+// The retention class alone decides whether a journal exists, whatever the
+// quiet elision does. Without an observer SIG and hybrid declare kNone and
+// keep no journal, with elision on and off. An answer observer raises them
+// to kFullWindow, and then the journal keeps raw buckets — even while every
+// unit sleeps and the broadcasts elide, which is exactly when the audit's
+// ValueAt reads need the raw entries.
 TEST(RetentionFloorTest, RetentionClassAloneDecidesBucketShape) {
   for (StrategyKind kind : {StrategyKind::kSig, StrategyKind::kHybridSig}) {
     for (double s : {0.9, 1.0}) {
@@ -127,37 +127,38 @@ TEST(RetentionFloorTest, RetentionClassAloneDecidesBucketShape) {
         }
         ASSERT_TRUE(cell.Run(4, 50).ok());
         EXPECT_EQ(cell.db()->retention(), JournalRetention::kFullWindow);
-        EXPECT_EQ(cell.db()->elided_journal_buckets(), 0u);
+        EXPECT_GT(cell.db()->journal_bytes_peak(), 0u);
         EXPECT_GT(cell.result().quiet_skipped_intervals, 0u)
             << "no elided broadcast: the case proves nothing";
         if (s == 0.9) {
           EXPECT_GT(answers, 0u);
         }
       }
-      uint64_t digest_buckets[2] = {0, 0};
       for (int on = 0; on < 2; ++on) {
+        SCOPED_TRACE(on == 1 ? "elision on" : "elision off");
         config.quiet_elision = on == 1;
         Cell cell(config);
         ASSERT_TRUE(cell.Build().ok());
         ASSERT_TRUE(cell.Run(4, 50).ok());
-        ASSERT_EQ(cell.db()->retention(), JournalRetention::kDigestOnly);
-        digest_buckets[on] = cell.db()->elided_journal_buckets();
+        EXPECT_EQ(cell.db()->retention(), JournalRetention::kNone);
+        EXPECT_FALSE(cell.db()->journal_enabled());
+        EXPECT_EQ(cell.db()->journal_bytes_peak(), 0u);
       }
-      EXPECT_EQ(digest_buckets[0], digest_buckets[1]);
-      EXPECT_GT(digest_buckets[0], 0u);
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Twin databases: identical update stream, different retention class.
+// A kFullWindow database against a brute-force reference over the same
+// update stream, and a kNone twin fed that stream.
 
 constexpr uint64_t kItems = 64;
 constexpr double kBucket = 10.0;
 
 // A few thousand updates across ~12 buckets with heavy per-item repetition,
-// applied in batches that straddle bucket boundaries on purpose.
-void FeedUpdates(Database* db) {
+// applied in batches that straddle bucket boundaries on purpose. Appends
+// every applied (id, time) to `stream` when given.
+void FeedUpdates(Database* db, std::vector<UpdatedItem>* stream = nullptr) {
   std::mt19937 rng(99);
   std::uniform_int_distribution<uint32_t> id_dist(0, kItems - 1);
   std::vector<ItemId> ids;
@@ -171,6 +172,7 @@ void FeedUpdates(Database* db) {
       t += 0.17;
       ids.push_back(id_dist(rng));
       times.push_back(t);
+      if (stream != nullptr) stream->push_back(UpdatedItem{ids.back(), t});
     }
     db->ApplyUpdateBatch(ids.data(), times.data(), ids.size());
   }
@@ -188,60 +190,86 @@ constexpr Window kWindows[] = {
     {33.3, 34.4},    {40.0, 41.0},           {55.0, 55.0},  {55.0, 60.0},
     {100.0, 1000.0}};
 
-// Both twins answer every window in kWindows identically.
-void ExpectSameWindowAnswers(const Database& full, const Database& digest) {
-  for (const Window& w : kWindows) {
-    SCOPED_TRACE("window (" + std::to_string(w.lo) + ", " +
-                 std::to_string(w.hi) + "]");
-    const std::vector<UpdatedItem> a = full.UpdatedIn(w.lo, w.hi);
-    const std::vector<UpdatedItem> b = digest.UpdatedIn(w.lo, w.hi);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].id, b[i].id) << "entry " << i;
-      EXPECT_EQ(a[i].updated_at, b[i].updated_at) << "entry " << i;
-    }
-    EXPECT_EQ(full.CountUpdatedIn(w.lo, w.hi),
-              digest.CountUpdatedIn(w.lo, w.hi));
+// Brute-force window query over the whole stream (strictly increasing
+// times): every item whose latest update lies in (lo, hi], once, at that
+// time, ascending by id.
+std::vector<UpdatedItem> ReferenceUpdatedIn(
+    const std::vector<UpdatedItem>& stream, SimTime lo, SimTime hi) {
+  std::map<ItemId, SimTime> last;
+  for (const UpdatedItem& u : stream) last[u.id] = u.updated_at;
+  std::vector<UpdatedItem> out;
+  for (const auto& [id, t] : last) {
+    if (t > lo && t <= hi) out.push_back(UpdatedItem{id, t});
+  }
+  return out;
+}
+
+void ExpectSameItems(const std::vector<UpdatedItem>& got,
+                     const std::vector<UpdatedItem>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << "entry " << i;
+    EXPECT_EQ(got[i].updated_at, want[i].updated_at) << "entry " << i;
   }
 }
 
-TEST(RetentionTwinTest, DigestOnlyAnswersTheSameWindowQueriesAsFull) {
-  Database full(kItems, /*seed=*/5);
-  Database digest(kItems, /*seed=*/5);
-  full.SetJournalBucketWidth(kBucket);
-  digest.SetJournalBucketWidth(kBucket);
-  full.SetRetention(JournalRetention::kFullWindow);
-  digest.SetRetention(JournalRetention::kDigestOnly);
-  FeedUpdates(&full);
-  FeedUpdates(&digest);
-
-  ASSERT_EQ(full.total_updates(), digest.total_updates());
-  EXPECT_GT(digest.elided_journal_buckets(), 0u);
-  EXPECT_EQ(full.elided_journal_buckets(), 0u);
-  ExpectSameWindowAnswers(full, digest);
-
-  // Live item state never depends on the journal at all.
-  for (ItemId id = 0; id < kItems; ++id) {
-    EXPECT_EQ(full.VersionOf(id), digest.VersionOf(id));
-    EXPECT_EQ(full.LastUpdateOf(id), digest.LastUpdateOf(id));
-    EXPECT_EQ(full.ValueOf(id), digest.ValueOf(id));
+// `db` answers every window in kWindows, plus windows that start or end
+// exactly on an update time (the open and closed ends of (lo, hi]), as the
+// brute-force scan of `stream` does: UpdatedIn (both spellings),
+// CountUpdatedIn, and the raw JournalIn. Each window is queried twice, so
+// the second pass also checks the sealed buckets' cached digests.
+void ExpectReferenceWindowAnswers(const Database& db,
+                                  const std::vector<UpdatedItem>& stream) {
+  std::vector<Window> windows(std::begin(kWindows), std::end(kWindows));
+  for (size_t k = 0; k < stream.size(); k += stream.size() / 7) {
+    const SimTime t = stream[k].updated_at;
+    windows.push_back(Window{t - 1.5 * kBucket, t});
+    windows.push_back(Window{t, t + 0.5 * kBucket});
   }
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const Window& w : windows) {
+      SCOPED_TRACE("pass " + std::to_string(pass) + " window (" +
+                   std::to_string(w.lo) + ", " + std::to_string(w.hi) + "]");
+      const std::vector<UpdatedItem> want =
+          ReferenceUpdatedIn(stream, w.lo, w.hi);
+      ExpectSameItems(db.UpdatedIn(w.lo, w.hi), want);
+      std::vector<UpdatedItem> into{UpdatedItem{7, 7.0}};  // cleared first
+      db.UpdatedIn(w.lo, w.hi, &into);
+      ExpectSameItems(into, want);
+      EXPECT_EQ(db.CountUpdatedIn(w.lo, w.hi), want.size());
 
-  EXPECT_GT(full.journal_bytes(), 0u);
-  EXPECT_GT(digest.journal_bytes(), 0u);
+      std::vector<UpdatedItem> raw;
+      for (const UpdatedItem& u : stream) {
+        if (u.updated_at > w.lo && u.updated_at <= w.hi) raw.push_back(u);
+      }
+      ExpectSameItems(db.JournalIn(w.lo, w.hi), raw);
+    }
+  }
+}
+
+TEST(RetentionTwinTest, BatchedStreamMatchesBruteForceReference) {
+  Database full(kItems, /*seed=*/5);
+  full.SetJournalBucketWidth(kBucket);
+  full.SetRetention(JournalRetention::kFullWindow);
+  std::vector<UpdatedItem> stream;
+  FeedUpdates(&full, &stream);
+
+  ASSERT_EQ(full.total_updates(), stream.size());
+  EXPECT_EQ(full.journal_size(), stream.size());
+  EXPECT_EQ(full.journal_bytes(),
+            stream.size() * (sizeof(SimTime) + sizeof(ItemId)));
+  ExpectReferenceWindowAnswers(full, stream);
 }
 
 TEST(RetentionTwinTest, PerUpdateStreamAnswersTheSameWindowQueries) {
   // Single ApplyUpdate calls instead of batches: six buckets of an
-  // LCG-derived stream with plenty of repeated ids (dedup inside each
-  // digest-only bucket) and cross-bucket repeats (the is-still-latest
+  // LCG-derived stream with plenty of repeated ids (within a bucket, so
+  // sealed digests dedup) and cross-bucket repeats (the is-still-latest
   // filter).
   Database full(kItems, /*seed=*/99);
-  Database digest(kItems, /*seed=*/99);
   full.SetJournalBucketWidth(kBucket);
-  digest.SetJournalBucketWidth(kBucket);
   full.SetRetention(JournalRetention::kFullWindow);
-  digest.SetRetention(JournalRetention::kDigestOnly);
+  std::vector<UpdatedItem> stream;
   uint64_t x = 12345;
   for (int bucket = 0; bucket < 6; ++bucket) {
     for (int i = 0; i < 40; ++i) {
@@ -250,40 +278,11 @@ TEST(RetentionTwinTest, PerUpdateStreamAnswersTheSameWindowQueries) {
       const SimTime t = kBucket * static_cast<double>(bucket) +
                         kBucket * (static_cast<double>(i) + 1.0) / 41.0;
       full.ApplyUpdate(id, t);
-      digest.ApplyUpdate(id, t);
+      stream.push_back(UpdatedItem{id, t});
     }
   }
-  EXPECT_EQ(digest.elided_journal_buckets(), 6u);
-  EXPECT_EQ(full.elided_journal_buckets(), 0u);
-  EXPECT_EQ(full.journal_size(), digest.journal_size());
-  ExpectSameWindowAnswers(full, digest);
-}
-
-TEST(RetentionTwinTest, DigestUndercutsRawBytesUnderHeavyRepetition) {
-  // One 24-byte digest record per distinct item per bucket vs 12 bytes per
-  // raw update: with 4 hot items hammered ~60 times per bucket the digest
-  // footprint collapses while the raw journal keeps every event.
-  Database full(kItems, /*seed=*/7);
-  Database digest(kItems, /*seed=*/7);
-  full.SetJournalBucketWidth(kBucket);
-  digest.SetJournalBucketWidth(kBucket);
-  full.SetRetention(JournalRetention::kFullWindow);
-  digest.SetRetention(JournalRetention::kDigestOnly);
-
-  std::vector<ItemId> ids;
-  std::vector<SimTime> times;
-  double t = 0.0;
-  for (int i = 0; i < 2000; ++i) {
-    t += 0.17;
-    ids.push_back(static_cast<ItemId>(i % 4));
-    times.push_back(t);
-  }
-  full.ApplyUpdateBatch(ids.data(), times.data(), ids.size());
-  digest.ApplyUpdateBatch(ids.data(), times.data(), ids.size());
-
-  EXPECT_LT(digest.journal_bytes(), full.journal_bytes());
-  EXPECT_LT(digest.journal_bytes_peak(), full.journal_bytes_peak());
-  EXPECT_EQ(full.CountUpdatedIn(0.0, t), digest.CountUpdatedIn(0.0, t));
+  EXPECT_EQ(full.journal_size(), stream.size());
+  ExpectReferenceWindowAnswers(full, stream);
 }
 
 TEST(RetentionTwinTest, NoneRetentionKeepsNoJournal) {
@@ -337,7 +336,6 @@ TEST(RetentionTwinTest, JournalBytesPeakIsAHighWaterMark) {
 
 TEST(RetentionTest, ClassNamesAreStable) {
   EXPECT_STREQ(JournalRetentionName(JournalRetention::kNone), "none");
-  EXPECT_STREQ(JournalRetentionName(JournalRetention::kDigestOnly), "digest");
   EXPECT_STREQ(JournalRetentionName(JournalRetention::kFullWindow), "full");
 }
 

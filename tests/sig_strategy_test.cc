@@ -18,7 +18,9 @@ SignatureParams Params() {
 }
 
 struct Rig {
-  Rig() : db(300, 3), family(300, Params(), 17), server(&db, &family, kL) {}
+  Rig() : db(300, 3), family(300, Params(), 17), server(&db, &family, kL) {
+    server.AttachUpdateFeed(&db);
+  }
 
   SigReport Build(uint64_t interval) {
     return std::get<SigReport>(

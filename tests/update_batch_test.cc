@@ -1,6 +1,6 @@
 // Contracts of the batched interval update kernel (db/update_generator.cc's
-// drain + Database::ApplyUpdateBatch) and digest-only journal buckets under
-// quiet elision:
+// drain + Database::ApplyUpdateBatch) and journal-less cells under quiet
+// elision:
 //
 //  * RNG replay: the drain applies the exact (item, time) sequence of an
 //    in-test reference generator that draws one update at a time — same
@@ -8,14 +8,14 @@
 //    uniform, Zipf-weighted, and zero-rate profiles, regardless of where
 //    the pump points fall; and it leaves the database state that single
 //    ApplyUpdate calls of that sequence leave.
-//  * Journal digests: a digest-only cell (SIG) produces byte-identical
-//    results with quiet elision on and off while laying down digest-only
-//    buckets (the raw-vs-digest window twins live in retention_test.cc).
+//  * Journal-less cells: a kNone cell (SIG) produces byte-identical results
+//    with quiet elision on and off while keeping no journal at all (the
+//    window-query reference checks live in retention_test.cc).
 //  * Shards: 4 and 8 shards match the 1-shard cell, including the
 //    applied-update count.
 //  * Allocation-freedom: the drain loop (its buffers come with the
-//    generator) and the warm full-cell steady state (pump + elided journal
-//    appends) perform zero heap allocations (for the cell: Run(60, 100)
+//    generator) and the warm full-cell steady state (pump + update-feed
+//    folds) perform zero heap allocations (for the cell: Run(60, 100)
 //    allocates exactly as often as Run(60, 50)).
 
 #include <algorithm>
@@ -293,15 +293,14 @@ CellConfig BaseConfig(StrategyKind kind, double s) {
   return config;
 }
 
-// A digest-only strategy (SIG) must produce byte-identical runs with quiet
-// elision on and off. SIG declares kDigestOnly retention, so *every* bucket
-// is digest-only in both runs — equal bucket counts and identical results
-// prove the digest path serves both configurations.
+// A journal-less strategy (SIG) must produce byte-identical runs with quiet
+// elision on and off. SIG declares kNone retention, so neither run keeps a
+// journal: identical results prove the update feed alone serves both
+// configurations.
 TEST(JournalElisionCellTest, SigRunsAreByteIdenticalWithElisionOnAndOff) {
   for (double s : {0.9, 1.0}) {
     SCOPED_TRACE("s=" + std::to_string(s));
     CellResult results[2];
-    uint64_t elided_buckets[2] = {0, 0};
     for (int on = 0; on < 2; ++on) {
       CellConfig config = BaseConfig(StrategyKind::kSig, s);
       config.quiet_elision = on == 1;
@@ -309,13 +308,12 @@ TEST(JournalElisionCellTest, SigRunsAreByteIdenticalWithElisionOnAndOff) {
       ASSERT_TRUE(cell.Build().ok());
       ASSERT_TRUE(cell.Run(4, 50).ok());
       results[on] = cell.result();
-      elided_buckets[on] = cell.db()->elided_journal_buckets();
+      // kNone retention whatever the quiet-elision config: no journal, no
+      // bytes, ever.
+      EXPECT_FALSE(cell.db()->journal_enabled());
+      EXPECT_EQ(cell.db()->journal_bytes_peak(), 0u);
     }
     ExpectResultsIdentical(results[1], results[0]);
-    // kDigestOnly retention elides every bucket regardless of the
-    // quiet-elision config — same count either way, never zero.
-    EXPECT_EQ(elided_buckets[0], elided_buckets[1]);
-    EXPECT_GT(elided_buckets[0], 0u);
     if (s == 1.0) {
       // Everyone asleep: every measured interval elides its broadcast.
       EXPECT_GT(results[1].quiet_skipped_intervals, 0u);
@@ -360,7 +358,7 @@ TEST(UpdateBatchEngineTest, MegaCellMatchesCellAcrossShardCounts) {
 TEST(UpdateBatchAllocationTest, DrainLoopAllocatesNothing) {
   Simulator sim;
   Database db(10000, /*seed=*/3);
-  db.SetJournalEnabled(false);
+  db.SetRetention(JournalRetention::kNone);
   UpdateGenerator gen(&sim, &db, /*mu_per_item=*/0.01, /*seed=*/77);
   ASSERT_TRUE(gen.Start().ok());
   gen.GenerateIntervalUpdates(50.0, /*inclusive=*/false);  // warm
@@ -375,8 +373,8 @@ TEST(UpdateBatchAllocationTest, DrainLoopAllocatesNothing) {
 }
 
 // Full-cell steady state: with every unit asleep under SIG, the measured
-// span covers elided broadcasts, batched pumps, and digest-only journal
-// appends — none of which may allocate once warm. Two identically built
+// span covers elided broadcasts, batched pumps, and update-feed folds — none
+// of which may allocate once warm. Two identically built
 // cells run 50 and 100 measured intervals past a 60-interval warm-up; the
 // longer run must allocate exactly as often as the shorter one.
 TEST(UpdateBatchAllocationTest, WarmElidedCellSteadyStateAllocatesNothing) {
@@ -392,7 +390,7 @@ TEST(UpdateBatchAllocationTest, WarmElidedCellSteadyStateAllocatesNothing) {
     allocations[run] = g_new_calls.load() - before;
     EXPECT_GT(cell.result().quiet_skipped_intervals, 0u);
     EXPECT_GT(cell.updates()->updates_generated(), 0u);
-    EXPECT_GT(cell.db()->elided_journal_buckets(), 0u);
+    EXPECT_FALSE(cell.db()->journal_enabled());
   }
   EXPECT_EQ(allocations[1], allocations[0])
       << "warm batched steady state allocated";

@@ -49,7 +49,7 @@
 //   retention-discipline    JournalIn/VersionAt call sites outside the
 //                           database itself must sit in a function that
 //                           checks the retention class first (kFullWindow /
-//                           retention() guard), mirroring the digest-only
+//                           retention() guard), mirroring the live-journal
 //                           asserts inside Database.
 //
 // Suppress a deliberate, justified exception with

@@ -1,6 +1,6 @@
 // Fixture: retention-discipline. Raw journal reads (JournalIn / VersionAt)
 // outside the database must sit in a function that has already checked the
-// retention class: under kDigestOnly retention the raw entries do not
+// retention class: without kFullWindow retention the raw entries do not
 // exist, and an unguarded reader would silently see an empty history.
 // detlint:pretend(src/core/retention_bad.cc)
 
