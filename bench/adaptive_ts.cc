@@ -16,6 +16,7 @@
 #include <iostream>
 #include <string>
 
+#include "bench_common.h"
 #include "core/adaptive.h"
 #include "exp/cell.h"
 #include "util/table.h"
@@ -150,4 +151,10 @@ int Run() {
 }  // namespace
 }  // namespace mobicache
 
-int main() { return mobicache::Run(); }
+int main(int argc, char** argv) {
+  return mobicache::RunWithoutFlags(
+      argc, argv,
+      "adaptive_ts: §8 ablation: static TS at several windows k vs adaptive\n"
+      "TS with feedback Methods 1 and 2, in channel bits per answered query.",
+      mobicache::Run);
+}

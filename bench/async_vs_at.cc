@@ -7,6 +7,7 @@
 
 #include <iostream>
 
+#include "bench_common.h"
 #include "exp/cell.h"
 #include "util/table.h"
 
@@ -61,4 +62,10 @@ int Run() {
 }  // namespace
 }  // namespace mobicache
 
-int main() { return mobicache::Run(); }
+int main(int argc, char** argv) {
+  return mobicache::RunWithoutFlags(
+      argc, argv,
+      "async_vs_at: §3.2 equivalence study: AT vs asynchronous per-update\n"
+      "invalidation broadcast across sleep levels.",
+      mobicache::Run);
+}

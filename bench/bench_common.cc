@@ -13,6 +13,7 @@
 #include <string>
 
 #include "bench_json.h"
+#include "util/flags.h"
 #include "util/simd.h"
 #include "util/thread_pool.h"
 
@@ -148,6 +149,20 @@ SweepOptions ParseSweepArgs(int argc, char** argv, SweepOptions defaults,
     }
   }
   return options;
+}
+
+int RunWithoutFlags(int argc, char** argv, const std::string& description,
+                    int (*run)()) {
+  FlagParser flags(description + "\nTakes no flags.");
+  if (Status st = flags.Parse(argc, argv); !st.ok()) {
+    std::cerr << st.ToString() << "\n\n" << flags.Usage();
+    return 2;
+  }
+  if (flags.help_requested()) {
+    std::cout << flags.Usage();
+    return 0;
+  }
+  return run();
 }
 
 int RunFigureBench(PaperScenario scenario,

@@ -34,6 +34,13 @@ int RunFigureBench(PaperScenario scenario,
                    const std::vector<StrategyKind>& strategies, int argc,
                    char** argv, SweepOptions defaults);
 
+/// main() of a bench that takes no flags. Routes argv through FlagParser
+/// with no flags registered: `--help` prints the usage page headed by
+/// `description` and exits 0, any other argument is rejected with it
+/// (exit 2). Otherwise returns run()'s exit code.
+int RunWithoutFlags(int argc, char** argv, const std::string& description,
+                    int (*run)());
+
 /// Global operator-new calls this process has made so far. bench_common.cc
 /// installs a counting allocator (one relaxed atomic increment per call —
 /// noise on build paths, invisible on the allocation-free hot paths);

@@ -7,6 +7,7 @@
 #include <iostream>
 #include <string>
 
+#include "bench_common.h"
 #include "analysis/model.h"
 #include "exp/cell.h"
 #include "util/table.h"
@@ -78,4 +79,10 @@ int Run() {
 }  // namespace
 }  // namespace mobicache
 
-int main() { return mobicache::Run(); }
+int main(int argc, char** argv) {
+  return mobicache::RunWithoutFlags(
+      argc, argv,
+      "grouped_reports: compressed-report ablation: sweeps the number of\n"
+      "groups G of grouped AT, model and simulation side by side.",
+      mobicache::Run);
+}

@@ -6,6 +6,7 @@
 
 #include <iostream>
 
+#include "bench_common.h"
 #include "exp/cell.h"
 #include "util/table.h"
 
@@ -66,4 +67,10 @@ int Run() {
 }  // namespace
 }  // namespace mobicache
 
-int main() { return mobicache::Run(); }
+int main(int argc, char** argv) {
+  return mobicache::RunWithoutFlags(
+      argc, argv,
+      "hybrid_sig: §10 extension: hybrid SIG (hot set broadcast by id, cold\n"
+      "remainder signed) against plain SIG under hot-set churn.",
+      mobicache::Run);
+}

@@ -16,6 +16,7 @@
 
 #include <iostream>
 
+#include "bench_common.h"
 #include "exp/cell.h"
 #include "net/delivery.h"
 #include "net/energy.h"
@@ -94,4 +95,10 @@ int Run() {
 }  // namespace
 }  // namespace mobicache
 
-int main() { return mobicache::Run(); }
+int main(int argc, char** argv) {
+  return mobicache::RunWithoutFlags(
+      argc, argv,
+      "network_env: §9 study: report delivery under ideal, multicast and CSMA\n"
+      "network environments.",
+      mobicache::Run);
+}

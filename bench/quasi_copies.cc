@@ -12,6 +12,7 @@
 
 #include <iostream>
 
+#include "bench_common.h"
 #include "core/coherency.h"
 #include "exp/cell.h"
 #include "util/table.h"
@@ -114,4 +115,10 @@ int Run() {
 }  // namespace
 }  // namespace mobicache
 
-int main() { return mobicache::Run(); }
+int main(int argc, char** argv) {
+  return mobicache::RunWithoutFlags(
+      argc, argv,
+      "quasi_copies: §7 ablation: quasi-copy AT (delay and arithmetic\n"
+      "conditions) against plain AT.",
+      mobicache::Run);
+}

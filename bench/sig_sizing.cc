@@ -15,6 +15,7 @@
 
 #include <iostream>
 
+#include "bench_common.h"
 #include "analysis/model.h"
 #include "exp/cell.h"
 #include "sig/signature.h"
@@ -186,4 +187,10 @@ int Run() {
 }  // namespace
 }  // namespace mobicache
 
-int main() { return mobicache::Run(); }
+int main(int argc, char** argv) {
+  return mobicache::RunWithoutFlags(
+      argc, argv,
+      "sig_sizing: SIG sizing ablation: sweeps the design parameter f and the\n"
+      "operating threshold K.",
+      mobicache::Run);
+}

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "bench_common.h"
 #include "analysis/model.h"
 #include "analysis/scenarios.h"
 #include "util/table.h"
@@ -118,4 +119,10 @@ int Run() {
 }  // namespace
 }  // namespace mobicache
 
-int main() { return mobicache::Run(); }
+int main(int argc, char** argv) {
+  return mobicache::RunWithoutFlags(
+      argc, argv,
+      "table_asymptotics: the two §5 asymptotic-analysis tables (s -> 0,\n"
+      "s -> 1, u0 -> 1).",
+      mobicache::Run);
+}

@@ -25,22 +25,6 @@ void AtServerStrategy::BuildReportInto(SimTime now, uint64_t interval,
   for (const UpdatedItem& item : delta_scratch_) at->ids.push_back(item.id);  // detlint:allow(alloc-event-path)
 }
 
-bool AtServerStrategy::AdvanceQuiet(SimTime now, uint64_t interval,
-                                    const MessageSizes& sizes,
-                                    uint64_t* bits) {
-  (void)interval;
-  // AT keeps no state across intervals; a quiet interval only needs the
-  // report's size (Eq. 19: nL * log n), countable without materializing ids.
-  *bits = db_->CountUpdatedIn(now - latency_, now) * sizes.id_bits;
-  return true;
-}
-
-void AtServerStrategy::MaterializeQuietInto(SimTime now, uint64_t interval,
-                                           Report* out) {
-  // AT keeps no state across intervals: rebuilding is reconstructing.
-  BuildReportInto(now, interval, out);
-}
-
 uint64_t AtClientManager::OnReport(const Report& report, ClientCache* cache) {
   const auto& at = std::get<AtReport>(report);
   uint64_t invalidated = 0;

@@ -20,10 +20,6 @@ class AtServerStrategy : public ServerStrategy {
 
   StrategyKind kind() const override { return StrategyKind::kAt; }
   void BuildReportInto(SimTime now, uint64_t interval, Report* out) override;
-  bool AdvanceQuiet(SimTime now, uint64_t interval, const MessageSizes& sizes,
-                    uint64_t* bits) override;
-  void MaterializeQuietInto(SimTime now, uint64_t interval,
-                            Report* out) override;
   SimTime JournalHorizonSeconds() const override { return latency_; }
 
  private:

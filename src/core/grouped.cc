@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "util/bits.h"
-
 namespace mobicache {
 
 ItemGrouping::ItemGrouping(uint64_t n, uint32_t num_groups)
@@ -42,33 +40,6 @@ void GroupedAtServerStrategy::BuildReportInto(SimTime now, uint64_t interval,
   gat->num_groups = grouping_.num_groups();
   gat->groups.clear();
   ChangedGroups(now, &gat->groups);
-}
-
-bool GroupedAtServerStrategy::AdvanceQuiet(SimTime now, uint64_t interval,
-                                           const MessageSizes& sizes,
-                                           uint64_t* bits) {
-  (void)interval;
-  (void)sizes;
-  // Count the distinct changed groups without materializing them.
-  db_->UpdatedIn(now - latency_, now, &delta_scratch_);
-  uint64_t count = 0;
-  uint32_t prev_group = 0;
-  for (const UpdatedItem& item : delta_scratch_) {
-    const uint32_t group = grouping_.GroupOf(item.id);
-    if (count == 0 || group != prev_group) {
-      ++count;
-      prev_group = group;
-    }
-  }
-  *bits = count * BitsForIds(grouping_.num_groups());
-  return true;
-}
-
-void GroupedAtServerStrategy::MaterializeQuietInto(SimTime now,
-                                                   uint64_t interval,
-                                                   Report* out) {
-  // Stateless across intervals, like AT: rebuilding is reconstructing.
-  BuildReportInto(now, interval, out);
 }
 
 GroupedAtClientManager::GroupedAtClientManager(uint64_t n,

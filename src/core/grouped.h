@@ -43,10 +43,6 @@ class GroupedAtServerStrategy : public ServerStrategy {
 
   StrategyKind kind() const override { return StrategyKind::kGroupedAt; }
   void BuildReportInto(SimTime now, uint64_t interval, Report* out) override;
-  bool AdvanceQuiet(SimTime now, uint64_t interval, const MessageSizes& sizes,
-                    uint64_t* bits) override;
-  void MaterializeQuietInto(SimTime now, uint64_t interval,
-                            Report* out) override;
   SimTime JournalHorizonSeconds() const override { return latency_; }
 
   const ItemGrouping& grouping() const { return grouping_; }

@@ -25,7 +25,6 @@ HybridSigServerStrategy::HybridSigServerStrategy(
     const Database* db, const SignatureFamily* family, SimTime latency,
     std::vector<ItemId> hot_set)
     : db_(db),
-      family_(family),
       latency_(latency),
       hot_set_(std::move(hot_set)),
       state_(family, db, &hot_set_) {
@@ -39,7 +38,7 @@ void HybridSigServerStrategy::AttachUpdateFeed(Database* db) {
   // SigServerStrategy::AttachUpdateFeed).
   dirty_flags_.assign(db->size(), 0);
   // One entry per item at most (the flags dedup); reserve the bound so the
-  // observer never allocates across elided quiet stretches.
+  // observer never allocates, however many items one interval touches.
   dirty_ids_.reserve(db->size());
   db->AddUpdateObserver([this](ItemId id, SimTime) {
     if (!dirty_flags_[id]) {
@@ -67,7 +66,6 @@ void HybridSigServerStrategy::FoldChangesThrough(
     }
   }
   dirty_ids_.clear();
-  last_folded_ = now;
 }
 
 void HybridSigServerStrategy::BuildReportInto(SimTime now, uint64_t interval,
@@ -83,38 +81,6 @@ void HybridSigServerStrategy::BuildReportInto(SimTime now, uint64_t interval,
   const std::vector<uint64_t>& combined = state_.Combined();
   // Fills the reused report's retained capacity (signature width is fixed
   // after setup). detlint:allow(alloc-event-path)
-  hy->combined.assign(combined.begin(), combined.end());
-}
-
-bool HybridSigServerStrategy::AdvanceQuiet(SimTime now, uint64_t interval,
-                                           const MessageSizes& sizes,
-                                           uint64_t* bits) {
-  (void)interval;
-  quiet_hot_scratch_.clear();
-  FoldChangesThrough(now, &quiet_hot_scratch_);
-  std::sort(quiet_hot_scratch_.begin(), quiet_hot_scratch_.end());
-  quiet_now_ = now;
-  // Hot half AT-style plus m cold signatures (§10 weighted accounting).
-  *bits = quiet_hot_scratch_.size() * sizes.id_bits +
-          state_.Combined().size() * sizes.sig_bits;
-  return true;
-}
-
-void HybridSigServerStrategy::MaterializeQuietInto(SimTime now,
-                                                   uint64_t interval,
-                                                   Report* out) {
-  assert(quiet_now_ == now && last_folded_ == now);
-  HybridReport* hy = std::get_if<HybridReport>(out);
-  // Variant switch happens on the first materialized report only.
-  // detlint:allow(alloc-event-path)
-  if (hy == nullptr) hy = &out->emplace<HybridReport>();
-  hy->interval = interval;
-  hy->timestamp = now;
-  // Both fill the reused report's retained capacity.
-  // detlint:allow(alloc-event-path)
-  hy->hot_ids.assign(quiet_hot_scratch_.begin(), quiet_hot_scratch_.end());
-  const std::vector<uint64_t>& combined = state_.Combined();
-  // detlint:allow(alloc-event-path)
   hy->combined.assign(combined.begin(), combined.end());
 }
 

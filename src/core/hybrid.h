@@ -29,10 +29,6 @@ class HybridSigServerStrategy : public ServerStrategy {
 
   StrategyKind kind() const override { return StrategyKind::kHybridSig; }
   void BuildReportInto(SimTime now, uint64_t interval, Report* out) override;
-  bool AdvanceQuiet(SimTime now, uint64_t interval, const MessageSizes& sizes,
-                    uint64_t* bits) override;
-  void MaterializeQuietInto(SimTime now, uint64_t interval,
-                            Report* out) override;
   void AttachUpdateFeed(Database* db) override;
   SimTime JournalHorizonSeconds() const override { return latency_; }
   /// FoldChangesThrough reads only the dirty set the attached feed
@@ -51,18 +47,12 @@ class HybridSigServerStrategy : public ServerStrategy {
   void FoldChangesThrough(SimTime now, std::vector<ItemId>* hot_out);
 
   const Database* db_;
-  const SignatureFamily* family_;
   SimTime latency_;
   std::vector<ItemId> hot_set_;
   ServerSignatureState state_;
-  SimTime last_folded_ = 0.0;
   // Dirty-id set fed by the database observer (AttachUpdateFeed).
   std::vector<uint8_t> dirty_flags_;
   std::vector<ItemId> dirty_ids_;
-  // Hot ids of the interval most recently consumed by AdvanceQuiet, kept so
-  // MaterializeQuietInto can reconstruct the elided report.
-  std::vector<ItemId> quiet_hot_scratch_;
-  SimTime quiet_now_ = 0.0;
 };
 
 /// Client half: AT rules for cached hot items (including the drop-on-missed-

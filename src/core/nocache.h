@@ -30,18 +30,6 @@ class NullServerStrategy : public ServerStrategy {
     null->interval = interval;
     null->timestamp = now;
   }
-  bool AdvanceQuiet(SimTime now, uint64_t interval, const MessageSizes& sizes,
-                    uint64_t* bits) override {
-    (void)now;
-    (void)interval;
-    (void)sizes;
-    *bits = 0;  // Bc = 0: empty reports, no state to advance.
-    return true;
-  }
-  void MaterializeQuietInto(SimTime now, uint64_t interval,
-                            Report* out) override {
-    BuildReportInto(now, interval, out);
-  }
   JournalRetention retention() const override { return retention_; }
   SimTime JournalHorizonSeconds() const override { return 0.0; }
 

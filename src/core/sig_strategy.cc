@@ -1,6 +1,5 @@
 #include "core/sig_strategy.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace mobicache {
@@ -8,7 +7,7 @@ namespace mobicache {
 SigServerStrategy::SigServerStrategy(const Database* db,
                                      const SignatureFamily* family,
                                      SimTime latency)
-    : family_(family), latency_(latency), state_(family, db) {
+    : latency_(latency), state_(family, db) {
   assert(latency > 0.0);
   assert(family->n() == db->size());
 }
@@ -18,8 +17,8 @@ void SigServerStrategy::AttachUpdateFeed(Database* db) {
   // value, so folding once per dirty id at report time is exact.
   dirty_flags_.assign(db->size(), 0);
   // The flags dedup caps the list at one entry per item; size it for that
-  // bound up front so the observer never allocates, even when elided quiet
-  // stretches let dirty ids pile up across many unreported intervals.
+  // bound up front so the observer never allocates, however many distinct
+  // items one interval touches (every broadcast folds and clears the list).
   dirty_ids_.reserve(db->size());
   db->AddUpdateObserver([this](ItemId id, SimTime) {
     if (!dirty_flags_[id]) {
@@ -29,24 +28,16 @@ void SigServerStrategy::AttachUpdateFeed(Database* db) {
   });
 }
 
-void SigServerStrategy::FoldChangesThrough(SimTime now) {
+void SigServerStrategy::BuildReportInto(SimTime now, uint64_t interval,
+                                        Report* out) {
+  // Fold every item changed since the previous report into the combined
+  // signatures.
   assert(!dirty_flags_.empty() && "build before AttachUpdateFeed");
   for (ItemId id : dirty_ids_) {
     state_.OnItemChanged(id);
     dirty_flags_[id] = 0;
   }
   dirty_ids_.clear();
-  last_folded_ = now;
-}
-
-void SigServerStrategy::BuildReportInto(SimTime now, uint64_t interval,
-                                        Report* out) {
-  FoldChangesThrough(now);
-  FillReport(now, interval, out);
-}
-
-void SigServerStrategy::FillReport(SimTime now, uint64_t interval,
-                                   Report* out) const {
   SigReport* sig = std::get_if<SigReport>(out);
   // Variant switch happens on the first broadcast only. detlint:allow(alloc-event-path)
   if (sig == nullptr) sig = &out->emplace<SigReport>();
@@ -56,23 +47,6 @@ void SigServerStrategy::FillReport(SimTime now, uint64_t interval,
   // Fills the reused report's retained capacity (signature width is fixed
   // after setup). detlint:allow(alloc-event-path)
   sig->combined.assign(combined.begin(), combined.end());
-}
-
-bool SigServerStrategy::AdvanceQuiet(SimTime now, uint64_t interval,
-                                     const MessageSizes& sizes,
-                                     uint64_t* bits) {
-  (void)interval;
-  // SIG reports are the current state: advancing is just folding, and the
-  // size is fixed at m signatures (Eq. 25: m * g).
-  FoldChangesThrough(now);
-  *bits = state_.Combined().size() * sizes.sig_bits;
-  return true;
-}
-
-void SigServerStrategy::MaterializeQuietInto(SimTime now, uint64_t interval,
-                                            Report* out) {
-  assert(last_folded_ == now);
-  FillReport(now, interval, out);
 }
 
 SigClientManager::SigClientManager(const SignatureFamily* family,

@@ -27,32 +27,18 @@ class SigServerStrategy : public ServerStrategy {
 
   StrategyKind kind() const override { return StrategyKind::kSig; }
   void BuildReportInto(SimTime now, uint64_t interval, Report* out) override;
-  bool AdvanceQuiet(SimTime now, uint64_t interval, const MessageSizes& sizes,
-                    uint64_t* bits) override;
-  void MaterializeQuietInto(SimTime now, uint64_t interval,
-                            Report* out) override;
   void AttachUpdateFeed(Database* db) override;
   SimTime JournalHorizonSeconds() const override { return latency_; }
   /// The combined signatures are a function of current values only
-  /// (state-based reports): FoldChangesThrough reads the dirty set the
+  /// (state-based reports): BuildReportInto folds the dirty set the
   /// attached feed collects, so the server keeps no update history.
   JournalRetention retention() const override {
     return JournalRetention::kNone;
   }
 
  private:
-  /// Folds every item changed since the last snapshot into the combined
-  /// signatures (the state-advance half of BuildReportInto). Needs the
-  /// update feed attached.
-  void FoldChangesThrough(SimTime now);
-  /// Writes the current combined signatures into `*out`, reusing its
-  /// storage when it already holds a SIG report.
-  void FillReport(SimTime now, uint64_t interval, Report* out) const;
-
-  const SignatureFamily* family_;
   SimTime latency_;
   ServerSignatureState state_;
-  SimTime last_folded_ = 0.0;  // updates up to here are in `state_`
   // Dirty-id set fed by the database observer (AttachUpdateFeed).
   std::vector<uint8_t> dirty_flags_;
   std::vector<ItemId> dirty_ids_;

@@ -20,7 +20,6 @@
 #include "core/cache.h"
 #include "core/report.h"
 #include "db/database.h"
-#include "net/channel.h"
 #include "sim/simulator.h"
 
 namespace mobicache {
@@ -84,6 +83,9 @@ class ServerStrategy {
   /// `*out`, reusing the storage `*out` already holds when it carries a
   /// report of the same kind. The server's report arena recycles slots
   /// through this so the steady-state broadcast path allocates nothing.
+  /// It is the only way a strategy processes an interval: the server calls
+  /// it once per broadcast, also for a quiet interval whose delivery it
+  /// elides, so state carried across intervals advances exactly once each.
   virtual void BuildReportInto(SimTime now, uint64_t interval,
                                Report* out) = 0;
 
@@ -94,34 +96,6 @@ class ServerStrategy {
     BuildReportInto(now, interval, &report);
     return report;
   }
-
-  /// Advances the strategy across one *quiet* interval — one whose report no
-  /// attached unit can hear — exactly as BuildReportInto would, without
-  /// materializing the report. On success writes the report's exact
-  /// airtime size (per ReportSizeBits with `sizes`) to `*bits` and returns
-  /// true; the interval is then consumed (the next build continues from it)
-  /// and MaterializeQuietInto() can still reconstruct its report. Returns false
-  /// when the strategy has no advance cheaper than a full build (e.g. the
-  /// adaptive controller, whose reevaluation clock rides on the build);
-  /// the server then falls back to building without delivering.
-  virtual bool AdvanceQuiet(SimTime now, uint64_t interval,
-                            const MessageSizes& sizes, uint64_t* bits) {
-    (void)now;
-    (void)interval;
-    (void)sizes;
-    (void)bits;
-    return false;
-  }
-
-  /// Reconstructs, into `*out` (reusing its storage like BuildReportInto),
-  /// the report of the interval most recently consumed by a successful
-  /// AdvanceQuiet, with the same (now, interval) arguments. The server needs
-  /// this only in the straddle case where a unit's wake may land while the
-  /// elided report would still be on the air. Must not be called otherwise;
-  /// the default (for strategies that never return true from AdvanceQuiet)
-  /// aborts in debug builds.
-  virtual void MaterializeQuietInto(SimTime now, uint64_t interval,
-                                    Report* out);
 
   /// Called once before the broadcast schedule starts. Strategies that
   /// maintain state incrementally (e.g. SIG's combined signatures) register

@@ -15,10 +15,12 @@ TsServerStrategy::TsServerStrategy(const Database* db, SimTime latency,
   assert(window_intervals >= 1);
 }
 
-void TsServerStrategy::AdvanceEntries(SimTime now, uint64_t interval) {
+void TsServerStrategy::BuildReportInto(SimTime now, uint64_t interval,
+                                       Report* out) {
   // Every append below lands in next_scratch_/delta_scratch_, member scratch
-  // whose capacity is retained across intervals; the steady state allocates
-  // nothing. detlint:allow-function(alloc-event-path)
+  // whose capacity is retained across intervals, or in the reused report's
+  // storage; the steady state allocates nothing.
+  // detlint:allow-function(alloc-event-path)
   const SimTime lo = now - window_;
   next_scratch_.clear();
   // U_i = { [j, t_j] : T_i - w < t_j <= T_i }  (Eq. 1)
@@ -53,40 +55,14 @@ void TsServerStrategy::AdvanceEntries(SimTime now, uint64_t interval) {
   prev_interval_ = interval;
   prev_now_ = now;
   prev_entries_.swap(next_scratch_);
-}
 
-void TsServerStrategy::BuildReportInto(SimTime now, uint64_t interval,
-                                       Report* out) {
-  AdvanceEntries(now, interval);
-  FillReport(now, interval, out);
-}
-
-void TsServerStrategy::FillReport(SimTime now, uint64_t interval,
-                                  Report* out) const {
   TsReport* ts = std::get_if<TsReport>(out);
-  // Variant switch happens on the first broadcast only. detlint:allow(alloc-event-path)
+  // Variant switch happens on the first broadcast only.
   if (ts == nullptr) ts = &out->emplace<TsReport>();
   ts->interval = interval;
   ts->timestamp = now;
   ts->window = window_;
-  // Fills the reused report's retained capacity. detlint:allow(alloc-event-path)
   ts->entries.assign(prev_entries_.begin(), prev_entries_.end());
-}
-
-bool TsServerStrategy::AdvanceQuiet(SimTime now, uint64_t interval,
-                                    const MessageSizes& sizes,
-                                    uint64_t* bits) {
-  AdvanceEntries(now, interval);
-  // Eq. 16: nc * (log n + bT), exactly ReportSizeBits of the TS report the
-  // advanced window would materialize.
-  *bits = prev_entries_.size() * (sizes.id_bits + sizes.bT);
-  return true;
-}
-
-void TsServerStrategy::MaterializeQuietInto(SimTime now, uint64_t interval,
-                                           Report* out) {
-  assert(have_prev_ && prev_interval_ == interval && prev_now_ == now);
-  FillReport(now, interval, out);
 }
 
 TsClientManager::TsClientManager(uint64_t window_intervals)

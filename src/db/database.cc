@@ -372,30 +372,6 @@ void Database::UpdatedIn(SimTime lo, SimTime hi,
   }
 }
 
-uint64_t Database::CountUpdatedIn(SimTime lo, SimTime hi) const {
-  assert(journal_enabled() && "window query against a disabled journal");
-  uint64_t count = 0;
-  if (hi <= lo) return count;
-  for (const Bucket& bucket : buckets_) {
-    if (!bucket.HasEntries() || bucket.LastTime() <= lo) continue;
-    if (bucket.FirstTime() > hi) break;
-    if (bucket.sealed && lo < bucket.times.front() &&
-        bucket.times.back() <= hi) {
-      if (!bucket.digest_built) BuildDigest(bucket);
-      for (const UpdatedItem& d : bucket.digest) {
-        if (hot_[d.id].last_update == d.updated_at) ++count;
-      }
-    } else {
-      const size_t n = bucket.times.size();
-      for (size_t i = FirstAfter(bucket.times, lo);
-           i < n && bucket.times[i] <= hi; ++i) {
-        if (hot_[bucket.ids[i]].last_update == bucket.times[i]) ++count;
-      }
-    }
-  }
-  return count;
-}
-
 std::vector<UpdatedItem> Database::JournalIn(SimTime lo, SimTime hi) const {
   assert(journal_enabled() && "journal scan against a disabled journal");
   std::vector<UpdatedItem> out;

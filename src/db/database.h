@@ -171,9 +171,6 @@ class Database {
   /// keeps the per-report allocation count flat.
   void UpdatedIn(SimTime lo, SimTime hi, std::vector<UpdatedItem>* out) const;
 
-  /// Number of distinct items whose last update lies in (lo, hi].
-  uint64_t CountUpdatedIn(SimTime lo, SimTime hi) const;
-
   /// Raw update events (every update, not just the last per item) with time
   /// in (lo, hi], ascending by time. Used by the adaptive controller to
   /// reconstruct per-item update histories for hit-ratio estimation.

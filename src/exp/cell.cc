@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <chrono>
 #include <utility>
 
 #include "exp/megacell.h"
@@ -13,16 +12,9 @@
 #include "mu/sleep_model.h"
 #include "mu/wake_index.h"
 #include "util/random.h"
+#include "util/wall_timer.h"
 
 namespace mobicache {
-
-namespace {
-using WallClock = std::chrono::steady_clock;
-
-double SecondsSince(WallClock::time_point t0) {
-  return std::chrono::duration<double>(WallClock::now() - t0).count();
-}
-}  // namespace
 
 /// One shard: a private simulator, a contiguous slice of the unit
 /// population with its SoA hot state, per-shard replicas of the components
@@ -501,17 +493,18 @@ void Cell::AdvanceWindow(SimTime cut, bool inclusive) {
   // Exclusive cuts leave the boundary's own events (the next tick wave) to
   // the following window, so replayed uplinks with time < T_i reach the
   // strategy before the T_i report is built.
-  WallClock::time_point t0 = WallClock::now();
-  if (inclusive) {
-    sim_->RunUntil(cut);
-  } else {
-    sim_->RunUntilBefore(cut);
+  {
+    WallTimer timer(&server_wall_seconds_);
+    if (inclusive) {
+      sim_->RunUntil(cut);
+    } else {
+      sim_->RunUntilBefore(cut);
+    }
+    // The shard phase answers uplinks from the quiescent database; drain
+    // the update stream to the cut (matching inclusivity) so it holds
+    // exactly the updates due by then, and the update trace is complete.
+    updates_->GenerateIntervalUpdates(cut, inclusive);
   }
-  // The shard phase answers uplinks from the quiescent database; drain the
-  // update stream to the cut (matching inclusivity) so it holds exactly
-  // the updates due by then, and the update trace is complete.
-  updates_->GenerateIntervalUpdates(cut, inclusive);
-  server_wall_seconds_ += SecondsSince(t0);
 
   // Shard phase: one lane per shard, pinned (lane == shard index). The
   // delivery sink only fires inside server events, so every pending
@@ -521,56 +514,55 @@ void Cell::AdvanceWindow(SimTime cut, bool inclusive) {
   // `this` (fits std::function's inline buffer — no per-window allocation).
   window_cut_ = cut;
   window_inclusive_ = inclusive;
-  t0 = WallClock::now();
-  gang_->Run([this](unsigned lane) {
-    Shard& sh = *shards_[lane];
-    const WallClock::time_point s0 = WallClock::now();
-    const size_t deliveries = pending_deliveries_.size();
-    if (sh.delivery_heard.size() < deliveries) {
-      sh.delivery_heard.resize(deliveries);
-    }
-    std::fill_n(sh.delivery_heard.begin(),
-                static_cast<ptrdiff_t>(deliveries), 0);
-    for (size_t k = 0; k < deliveries; ++k) {
-      // Pointer capture: pending_deliveries_ is frozen for the whole shard
-      // phase, and a by-value ReportDelivery capture would copy its
-      // shared_ptr (two refcount RMWs per shard per delivery).
-      const Server::ReportDelivery* d = &pending_deliveries_[k];
-      // Elided quiet interval: no unit anywhere can hear it, so there is
-      // nothing to schedule (delivery_heard[k] stays 0).
-      if (d->report == nullptr) continue;
-      Shard* raw = &sh;
-      sh.sim.ScheduleAt(d->done, [raw, d, k] {
-        raw->delivery_heard[k] = raw->FanOut(*d->report, d->listen_seconds);
-      });
-    }
-    if (trace_updates_) {
-      for (const TraceRecord& u : update_trace_) {
+  {
+    WallTimer timer(&shard_phase_wall_seconds_);
+    gang_->Run([this](unsigned lane) {
+      Shard& sh = *shards_[lane];
+      WallTimer shard_timer(&sh.wall_seconds);
+      const size_t deliveries = pending_deliveries_.size();
+      if (sh.delivery_heard.size() < deliveries) {
+        sh.delivery_heard.resize(deliveries);
+      }
+      std::fill_n(sh.delivery_heard.begin(),
+                  static_cast<ptrdiff_t>(deliveries), 0);
+      for (size_t k = 0; k < deliveries; ++k) {
+        // Pointer capture: pending_deliveries_ is frozen for the whole shard
+        // phase, and a by-value ReportDelivery capture would copy its
+        // shared_ptr (two refcount RMWs per shard per delivery).
+        const Server::ReportDelivery* d = &pending_deliveries_[k];
+        // Elided quiet interval: no unit anywhere can hear it, so there is
+        // nothing to schedule (delivery_heard[k] stays 0).
+        if (d->report == nullptr) continue;
         Shard* raw = &sh;
-        if (stateful_mode_) {
-          sh.sim.ScheduleAt(u.time, [raw, u] {
-            raw->registry->OnUpdate(u.id, u.time);
-          });
-        } else {
-          sh.sim.ScheduleAt(u.time, [raw, id = u.id] {
-            raw->PushInvalidateAwake(id);
-          });
+        sh.sim.ScheduleAt(d->done, [raw, d, k] {
+          raw->delivery_heard[k] = raw->FanOut(*d->report, d->listen_seconds);
+        });
+      }
+      if (trace_updates_) {
+        for (const TraceRecord& u : update_trace_) {
+          Shard* raw = &sh;
+          if (stateful_mode_) {
+            sh.sim.ScheduleAt(u.time, [raw, u] {
+              raw->registry->OnUpdate(u.id, u.time);
+            });
+          } else {
+            sh.sim.ScheduleAt(u.time, [raw, id = u.id] {
+              raw->PushInvalidateAwake(id);
+            });
+          }
         }
       }
-    }
-    if (window_inclusive_) {
-      sh.sim.RunUntil(window_cut_);
-    } else {
-      sh.sim.RunUntilBefore(window_cut_);
-    }
-    sh.wall_seconds += SecondsSince(s0);
-  });
-  shard_phase_wall_seconds_ += SecondsSince(t0);
+      if (window_inclusive_) {
+        sh.sim.RunUntil(window_cut_);
+      } else {
+        sh.sim.RunUntilBefore(window_cut_);
+      }
+    });
+  }
 
   // Barrier: replay the merged shard logs onto the server and channel.
-  t0 = WallClock::now();
+  WallTimer timer(&replay_wall_seconds_);
   ReplayWindow();
-  replay_wall_seconds_ += SecondsSince(t0);
 }
 
 void Cell::ResetAllStats() {

@@ -166,11 +166,12 @@ struct CellResult {
   /// Measured intervals whose report delivery found every unit asleep
   /// (pure downlink waste: a report that lands in a fully sleeping cell).
   uint64_t quiet_report_intervals = 0;
-  /// The subset of quiet intervals whose report build and fan-out the
-  /// server skipped outright (quiet-interval elision). Always <=
+  /// The subset of quiet intervals whose report delivery and fan-out the
+  /// server skipped (quiet-interval elision; the report is still built, so
+  /// the strategy advances as in any interval). Always <=
   /// quiet_report_intervals: a quiet interval still counts there even when
-  /// its report had to be materialized (jittered delivery, or a wake that
-  /// may land while the report is on the air).
+  /// its report had to be delivered (jittered delivery, or a wake that may
+  /// land while the report is on the air).
   uint64_t quiet_skipped_intervals = 0;
   double measured_sleep_fraction = 0.0;
   uint64_t items_invalidated = 0;

@@ -1,13 +1,13 @@
 #include "exp/sweep.h"
 
 #include <algorithm>
-#include <chrono>
 #include <string>
 #include <utility>
 
 #include "exp/cell.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
+#include "util/wall_timer.h"
 
 namespace mobicache {
 
@@ -70,14 +70,14 @@ void RunSweepJob(const SweepJob& job, uint64_t warmup_intervals,
                  uint64_t measure_intervals, int shards,
                  std::optional<CellResult>* slot,
                  SweepResult::CellTiming* timing, Status* status) {
-  const auto t0 = std::chrono::steady_clock::now();
   Cell cell(job.config, static_cast<uint32_t>(shards));
-  Status s = cell.Build();
-  if (s.ok()) s = cell.Run(warmup_intervals, measure_intervals);
-  if (s.ok()) slot->emplace(cell.result());
-  timing->wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  Status s;
+  {
+    WallTimer timer(&timing->wall_seconds);
+    s = cell.Build();
+    if (s.ok()) s = cell.Run(warmup_intervals, measure_intervals);
+    if (s.ok()) slot->emplace(cell.result());
+  }
   timing->server_seconds = cell.server_wall_seconds();
   timing->shard_seconds = cell.shard_phase_wall_seconds();
   timing->replay_seconds = cell.replay_wall_seconds();

@@ -61,8 +61,8 @@ struct SweepResult {
   uint64_t simulated_cells = 0;
   uint64_t sim_events = 0;
   /// Summed over the simulated cells: measured intervals whose delivery
-  /// found every unit asleep, and the subset the server's quiet-interval
-  /// elision skipped entirely (always <= quiet_report_intervals).
+  /// found every unit asleep, and the subset whose delivery the server's
+  /// quiet-interval elision skipped (always <= quiet_report_intervals).
   uint64_t quiet_report_intervals = 0;
   uint64_t quiet_skipped_intervals = 0;
   /// Wall time of each simulated cell, in deterministic grid order

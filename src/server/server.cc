@@ -98,9 +98,10 @@ void Server::Broadcast(uint64_t interval) {
   // Quiet-interval elision (the "sleepers" fast path): if every attached
   // unit is asleep now and none wakes before this transmission completes,
   // the report is pure downlink accounting — no unit or jittered
-  // re-delivery will ever read it. The strategy still advances (AdvanceQuiet
-  // consumes the interval and yields the exact bit size), so every counter
-  // stays byte-identical to the materialized run.
+  // re-delivery will ever read it. The report is still built (the strategy
+  // advances exactly as in a heard interval and the bit size is exact), so
+  // every counter stays byte-identical to the delivered run; only the
+  // delivery and its fan-out are skipped.
   bool quiet_candidate = config_.quiet_elision && jitter <= 0.0 &&
                          !wake_indexes_.empty();
   SimTime wake_horizon = std::numeric_limits<SimTime>::infinity();
@@ -113,45 +114,24 @@ void Server::Broadcast(uint64_t interval) {
     quiet_candidate = awake == 0;
   }
 
-  uint64_t bits = 0;
-  double duration = 0.0;
-  bool elide_delivery = false;
-  std::shared_ptr<const Report> report;
-  if (quiet_candidate &&
-      strategy_->AdvanceQuiet(now, interval, config_.sizes, &bits)) {
-    duration = channel_->Duration(bits);
-    if (wake_horizon > now + duration) {
-      elide_delivery = true;
-    } else {
-      // A unit wakes mid-transmission (or exactly at its end): replay the
-      // materialized mechanics from the already-advanced strategy state.
-      std::shared_ptr<Report>& slot = AcquireReportSlot();
-      strategy_->MaterializeQuietInto(now, interval, slot.get());
-      report = slot;
-    }
-  } else {
-    std::shared_ptr<Report>& slot = AcquireReportSlot();
-    strategy_->BuildReportInto(now, interval, slot.get());
-    bits = ReportSizeBits(*slot, config_.sizes);
-    duration = channel_->Duration(bits);
-    if (quiet_candidate && wake_horizon > now + duration) {
-      // Build-without-deliver fallback: the strategy had no cheap advance,
-      // but nobody can hear the report — hand the sink a null one.
-      elide_delivery = true;
-    } else {
-      report = slot;
-    }
-  }
+  std::shared_ptr<Report>& slot = AcquireReportSlot();
+  strategy_->BuildReportInto(now, interval, slot.get());
+  const uint64_t bits = ReportSizeBits(*slot, config_.sizes);
+  const double duration = channel_->Duration(bits);
 
   ++stats_.reports_broadcast;
   stats_.report_bits.Add(static_cast<double>(bits));
   stats_.report_air_seconds.Add(duration);
 
-  if (elide_delivery) {
+  // A unit that wakes mid-transmission (or exactly at its end) still hears
+  // the report, so only a first wake past the end lets the server hand the
+  // sink a null one.
+  if (quiet_candidate && wake_horizon > now + duration) {
     Deliver(nullptr, bits, 0.0, duration);
   } else if (jitter <= 0.0) {
-    Deliver(std::move(report), bits, 0.0, duration);
+    Deliver(slot, bits, 0.0, duration);
   } else {
+    std::shared_ptr<const Report> report = slot;
     sim_->ScheduleAfter(jitter, [this, report = std::move(report), bits,
                                  jitter, duration] {
       Deliver(report, bits, jitter, duration);

@@ -4,12 +4,14 @@
 // model with contention jitter), hands each completed transmission to a
 // delivery sink, and accounts uplink cache-miss queries.
 //
-// Broadcast cost tracks *listeners*, not wall intervals: the server recycles
+// Delivery cost tracks *listeners*, not wall intervals: the server recycles
 // report storage through a small arena and — when the attached wake indexes
 // show every unit sleeping through an interval's entire transmission —
-// elides the report build altogether while keeping every statistic, channel
-// counter, and strategy state byte-identical (quiet-interval elision; see
-// Broadcast()). Every interval still runs as its own broadcast tick and
+// hands the sink a null report instead of the built one, so no unit's
+// consumption or fan-out runs (quiet-interval elision; see Broadcast()).
+// The report is built every interval through the one BuildReportInto path,
+// so every statistic, channel counter, and strategy state stays
+// byte-identical. Every interval still runs as its own broadcast tick and
 // consumption event, elided or not, and elision never touches the journal:
 // how each journal bucket is stored is fixed by the retention class Start()
 // arms (see JournalRetention).
@@ -46,10 +48,10 @@ struct ServerConfig {
   /// only retains extra history — no window query reads beyond the horizon —
   /// so pruning in batches is identity-free and amortizes the bucket walk.
   uint64_t journal_prune_period_intervals = 8;
-  /// Quiet-interval elision (requires an attached WakeIndex): skip report
-  /// materialization for intervals no attached unit can hear.
-  /// Observable behaviour is byte-identical either way; the equivalence
-  /// tests force it off to prove that.
+  /// Quiet-interval elision (requires an attached WakeIndex): skip the
+  /// report delivery and fan-out for intervals no attached unit can hear
+  /// (the report is still built). Observable behaviour is byte-identical
+  /// either way; the equivalence tests force it off to prove that.
   bool quiet_elision = true;
 };
 
@@ -72,9 +74,9 @@ class Server {
   ~Server();
 
   /// Registers a wake index over some of the cell's units. The server
-  /// elides an interval when the attached indexes together show every unit
-  /// asleep through its transmission. The cell attaches one index per
-  /// shard. Call before Start().
+  /// elides an interval's delivery when the attached indexes together show
+  /// every unit asleep through its transmission. The cell attaches one
+  /// index per shard. Call before Start().
   void AttachWakeIndex(const WakeIndex* index);
 
   /// Attaches the update generator whose drain feeds the database. Updates

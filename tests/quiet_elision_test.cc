@@ -1,13 +1,14 @@
 // Equivalence and allocation contracts for quiet-interval elision
-// (server/server.cc): skipping report materialization and fan-out while
-// every unit sleeps must be observationally invisible.
+// (server/server.cc): skipping report delivery and fan-out while every
+// unit sleeps must be observationally invisible. The server builds every
+// interval's report through the one BuildReportInto path; elision only
+// hands the sink a null report instead of the built one.
 //
 //  * Byte-identity: for randomized sleep mixes and the s = 0 / s = 1 edge
 //    cells, every counter a run exposes — ServerStats, channel traffic,
 //    per-unit statistics, derived Eq. 9/10 metrics, scheduler dispatches —
-//    is identical with elision on and off, across strategies with a cheap
-//    AdvanceQuiet (TS, AT, SIG, nocache, grouped, hybrid) and strategies
-//    that fall back to build-without-deliver (adaptive TS, quasi-copy AT),
+//    is identical with elision on and off, across every report strategy
+//    (TS, AT, SIG, nocache, grouped, hybrid, adaptive TS, quasi-copy AT),
 //    and under renewal sleep with long off periods, including a
 //    warm-up/measure boundary that falls inside a quiet stretch.
 //  * Invariant: quiet_skipped_intervals <= quiet_report_intervals, and the
@@ -154,8 +155,7 @@ CellConfig BaseConfig(StrategyKind kind, double s) {
 
 // ---------------------------------------------------------------------------
 // Elision on vs off: byte-identical results across strategies and sleep
-// probabilities, including both quiet-path variants (AdvanceQuiet and the
-// build-without-deliver fallback).
+// probabilities.
 
 // Runs `base` with quiet elision off and on and expects every counter —
 // per-unit statistics included — to match. An elided interval still runs
@@ -211,7 +211,7 @@ TEST_P(ElisionEquivalenceTest, OnAndOffRunsAreByteIdentical) {
 
   // Every-unit-asleep cells must actually exercise the elision path: with
   // s = 1 each unit sleeps from its first decision on, so every measured
-  // interval is quiet and (for cheap-advance strategies) elided.
+  // interval is quiet and its delivery elided.
   if (param.s == 1.0) {
     EXPECT_EQ(eliding.quiet_report_intervals, 50u);
     EXPECT_GT(eliding.quiet_skipped_intervals, 0u);
@@ -221,7 +221,8 @@ TEST_P(ElisionEquivalenceTest, OnAndOffRunsAreByteIdentical) {
 INSTANTIATE_TEST_SUITE_P(
     StrategiesAndSleepMixes, ElisionEquivalenceTest,
     ::testing::Values(
-        // AdvanceQuiet strategies across the sleep range, edges included.
+        // TS across the sleep range, edges included. At s = 1 every
+        // measured interval takes the elided path.
         ElisionCase{StrategyKind::kTs, 0.0},
         ElisionCase{StrategyKind::kTs, 0.6},
         ElisionCase{StrategyKind::kTs, 0.95},
@@ -232,8 +233,9 @@ INSTANTIATE_TEST_SUITE_P(
         ElisionCase{StrategyKind::kSig, 1.0},
         ElisionCase{StrategyKind::kNoCache, 0.95},
         ElisionCase{StrategyKind::kGroupedAt, 0.9},
+        ElisionCase{StrategyKind::kGroupedAt, 1.0},
         ElisionCase{StrategyKind::kHybridSig, 0.9},
-        // Fallback strategies (no cheap advance): build-without-deliver.
+        ElisionCase{StrategyKind::kHybridSig, 1.0},
         ElisionCase{StrategyKind::kAdaptiveTs, 0.9},
         ElisionCase{StrategyKind::kQuasiAt, 0.9},
         ElisionCase{StrategyKind::kQuasiAt, 1.0}),
@@ -262,7 +264,7 @@ TEST(ElisionEquivalenceTest, RenewalSleepRunsAreByteIdentical) {
 
 // Long off periods (~40 intervals) put the whole cell to sleep for long
 // stretches, and wakes land anywhere inside an interval — including while
-// an elided report would still be on the air (the materialize fallback).
+// an elided report would still be on the air (the server must deliver it).
 void ExpectLongRenewalSleepTwinsIdentical(StrategyKind kind) {
   CellConfig config = BaseConfig(kind, 0.0);
   config.num_units = 6;
@@ -289,7 +291,7 @@ TEST(ElisionEquivalenceTest, LongRenewalSleepNoCacheRunsAreByteIdentical) {
 
 // The warm-up/measure boundary resets every counter; with ~60-interval
 // sleep stretches the boundary at interval 20 almost surely lands inside a
-// quiet stretch, where elided and materialized intervals must bin alike.
+// quiet stretch, where elided and delivered intervals must bin alike.
 TEST(ElisionEquivalenceTest, WarmupBoundaryInsideAQuietStretchIsByteIdentical) {
   CellConfig config = BaseConfig(StrategyKind::kTs, 0.0);
   config.num_units = 6;
@@ -414,9 +416,9 @@ TEST_F(BroadcastAllocationTest, MaterializedSteadyStateAllocatesNothing) {
 }
 
 TEST_F(BroadcastAllocationTest, ElidedSteadyStateAllocatesNothing) {
-  // Everyone asleep: after warm-up every interval takes the AdvanceQuiet +
-  // elided-delivery path (modulo the bounded fast-forward wake ticks, which
-  // are also allocation-free).
+  // Everyone asleep: after warm-up every interval builds its report into
+  // the arena and takes the elided-delivery path (modulo the bounded
+  // fast-forward wake ticks, which are also allocation-free).
   CellConfig config = BaseConfig(StrategyKind::kTs, 1.0);
   config.model.lambda = 0.0;
   config.model.mu = 0.0;

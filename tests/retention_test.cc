@@ -10,8 +10,7 @@
 //  * a kFullWindow database answers every window query the report builders
 //    use — aligned, partial, inside one bucket, or spanning several —
 //    exactly as a brute-force scan of the same update stream does
-//    (UpdatedIn / CountUpdatedIn / JournalIn), for batched and per-update
-//    appends alike;
+//    (UpdatedIn / JournalIn), for batched and per-update appends alike;
 //  * kNone keeps no journal at all — zero entries, zero bytes, forever;
 //  * journal_bytes_peak is a true high-water mark: monotone under appends
 //    and unaffected by pruning.
@@ -215,9 +214,9 @@ void ExpectSameItems(const std::vector<UpdatedItem>& got,
 
 // `db` answers every window in kWindows, plus windows that start or end
 // exactly on an update time (the open and closed ends of (lo, hi]), as the
-// brute-force scan of `stream` does: UpdatedIn (both spellings),
-// CountUpdatedIn, and the raw JournalIn. Each window is queried twice, so
-// the second pass also checks the sealed buckets' cached digests.
+// brute-force scan of `stream` does: UpdatedIn (both spellings) and the
+// raw JournalIn. Each window is queried twice, so the second pass also
+// checks the sealed buckets' cached digests.
 void ExpectReferenceWindowAnswers(const Database& db,
                                   const std::vector<UpdatedItem>& stream) {
   std::vector<Window> windows(std::begin(kWindows), std::end(kWindows));
@@ -236,7 +235,6 @@ void ExpectReferenceWindowAnswers(const Database& db,
       std::vector<UpdatedItem> into{UpdatedItem{7, 7.0}};  // cleared first
       db.UpdatedIn(w.lo, w.hi, &into);
       ExpectSameItems(into, want);
-      EXPECT_EQ(db.CountUpdatedIn(w.lo, w.hi), want.size());
 
       std::vector<UpdatedItem> raw;
       for (const UpdatedItem& u : stream) {
